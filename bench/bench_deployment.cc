@@ -42,14 +42,15 @@ int main() {
     serve::RtpRequest request = serve::RequestFromSample(s);
 
     auto sorted = sorting.Sort(request);
+    auto etas = eta.Estimate(request);
+    M2G_CHECK(sorted.ok() && etas.ok());
     // Map sorted order ids back to node indices (node order: by id).
     std::vector<int> predicted_route;
-    for (const auto& so : sorted) {
+    for (const auto& so : sorted.value()) {
       predicted_route.push_back(serve::NodeIndexOfOrder(s, so.order_id));
     }
-    auto etas = eta.Estimate(request);
     std::vector<double> predicted_times(s.num_locations(), 0.0);
-    for (const auto& e : etas) {
+    for (const auto& e : etas.value()) {
       predicted_times[serve::NodeIndexOfOrder(s, e.order_id)] =
           e.eta_minutes;
       if (e.notify_user) ++notifications;

@@ -3,17 +3,16 @@
 // disabled path is a strict upper bound on a compiled-out M2G_OBS_DISABLED
 // build, which removes even the relaxed-load gate) and reports the
 // telemetry tax on end-to-end serving latency. The enabled side runs the
-// full PR-8 pipeline — request-scoped trace trees, per-stage spans, and
-// wide events at default (keep-everything) sampling — so the budget gates
+// full pipeline — request-scoped trace trees, per-stage spans, and wide
+// events at default (keep-everything) sampling — so the budget gates
 // tracing and structured logging, not just histogram records.
 //
 // `--smoke` runs a reduced configuration for CI and exits nonzero when
 //   * instrumented serving is more than 3% slower than uninstrumented
 //     (best-of-N interleaved passes, retried to ride out scheduler noise),
 //   * or the exported snapshot is missing any of the per-stage serving
-//     histograms, the batching/queue-wait histograms, the wide-event
-//     counters, the service request counters, the tensor-pool counters
-//     or the thread-pool queue-depth gauge,
+//     histograms, the wide-event counters, the service request counters,
+//     the tensor-pool counters or the thread-pool queue-depth gauge,
 //   * or no trace trees / wide events were retained.
 // It also dumps the final snapshot to m2g_metrics.prom / m2g_metrics.json
 // plus sample traces.json / events.jsonl (uploaded as CI artifacts).
@@ -95,15 +94,13 @@ int CheckExports(const std::string& prom, const std::string& json) {
       "m2g_pool_arena_misses",
       "m2g_threadpool_queue_depth",
       "m2g_threadpool_tasks_executed_total",
-      "m2g_serve_batch_queue_wait_ms_bucket",
-      "m2g_serve_batch_execute_ms_bucket",
       "m2g_obs_wide_events_recorded_total",
   };
   const char* json_needles[] = {
       "\"serve.stage.encode.ms\"", "\"serve.rtp.requests\"",
       "\"serve.eta.requests\"",    "\"pool.arena_hits\"",
       "\"threadpool.queue_depth\"", "\"p99\"",
-      "\"serve.batch.queue_wait.ms\"", "\"obs.wide_events.recorded\"",
+      "\"obs.wide_events.recorded\"",
   };
   int failures = 0;
   for (const char* needle : prom_needles) {
@@ -165,7 +162,7 @@ int main(int argc, char** argv) {
   m2g::serve::ConcurrentReplayResult replay =
       m2g::serve::ReplayConcurrently(service, requests, /*threads=*/2);
   for (size_t i = 0; i < requests.size() && i < 4; ++i) {
-    Sink(static_cast<float>(eta.Estimate(requests[i]).size()));
+    Sink(static_cast<float>(eta.Estimate(requests[i]).value().size()));
   }
   std::printf("warmup replay: %zu requests at %.0f req/s\n",
               replay.responses.size(), replay.requests_per_second);
@@ -196,24 +193,6 @@ int main(int argc, char** argv) {
   std::printf("  overhead: %.2f%% (%.1f us/request)\n",
               100.0 * ab.overhead(), per_req_us);
 
-  // Batched serving phase: populates the PR-8 surfaces the unbatched A/B
-  // cannot reach — the queue-wait and batch-execute histograms, trace
-  // trees whose members reference shared graph/encode spans, and wide
-  // events carrying batch attribution. Untimed: the A/B above already
-  // gates the instrumentation tax; this phase only feeds the exports.
-  size_t batched_requests = 0;
-  {
-    m2g::serve::ServingConfig sc;
-    sc.batching_enabled = true;
-    sc.batch.max_batch_size = 4;
-    sc.batch.max_linger_us = 2000;
-    m2g::serve::RtpService batched(&built.world, &model, sc);
-    m2g::serve::ConcurrentReplayResult br =
-        m2g::serve::ReplayConcurrently(batched, requests, /*threads=*/4);
-    batched_requests = br.responses.size();
-    std::printf("batched replay: %zu requests at %.0f req/s\n",
-                batched_requests, br.requests_per_second);
-  }
   const size_t trace_trees = m2g::obs::RecentTraceTrees().size();
   const uint64_t wide_events = m2g::obs::WideEventSink::Global().recorded();
 
@@ -263,8 +242,6 @@ int main(int argc, char** argv) {
           .Set("off_seconds", bench::JsonValue::Number(ab.off_seconds))
           .Set("overhead", bench::JsonValue::Number(ab.overhead()))
           .Set("per_request_us", bench::JsonValue::Number(per_req_us))
-          .Set("batched_requests",
-               bench::JsonValue::Int(static_cast<int64_t>(batched_requests)))
           .Set("trace_trees",
                bench::JsonValue::Int(static_cast<int64_t>(trace_trees)))
           .Set("wide_events",

@@ -220,16 +220,6 @@ int main(int argc, char** argv) {
          const Matrix y = m2g::DualAffineRaw(x10, wx4, h, wh4, bias4);
          out->assign(y.data(), y.data() + y.size());
        }});
-  kernels.push_back(
-      {"MatMulManyInto(4 slices)", [&](std::vector<float>* out) {
-         out->assign(static_cast<size_t>(4) * 10 * f, 0.0f);
-         m2g::MatMulManySlice slices[4];
-         for (int s = 0; s < 4; ++s) {
-           slices[s] = {x10.data(), 10,
-                        out->data() + static_cast<size_t>(s) * 10 * f};
-         }
-         m2g::MatMulManyInto(slices, 4, f, w.data(), f);
-       }});
   kernels.push_back({"AddInPlace(2400)", [&](std::vector<float>* out) {
                        out->assign(a.data(), a.data() + a.size());
                        m2g::simd::AddInPlace(out->data(), w.data(),

@@ -81,8 +81,13 @@ int main() {
 
   int stop = 1;
   while (!pending.empty()) {
-    auto sorted =
-        sorting.Sort(MakeRequest(*sample, pending, pos, now));
+    auto result = sorting.Sort(MakeRequest(*sample, pending, pos, now));
+    if (!result.ok()) {
+      std::fprintf(stderr, "request rejected: %s\n",
+                   result.status().ToString().c_str());
+      return 1;
+    }
+    const auto& sorted = result.value();
     std::printf("\n[t=%.0f min] app shows %zu orders; top of list:\n", now,
                 sorted.size());
     for (size_t i = 0; i < std::min<size_t>(3, sorted.size()); ++i) {

@@ -7,7 +7,7 @@
 //   m2g_cli eval     --data splits.bin --weights weights.bin
 //   m2g_cli predict  --data splits.bin --weights weights.bin --sample 0
 //   m2g_cli serve    --data splits.bin --weights weights.bin
-//                    [--admin_port 0] [--batch] [--threads 4]
+//                    [--admin_port 0] [--threads 4]
 //                    [--requests 64] [--traces_out t.json]
 //                    [--events_out e.jsonl]
 //
@@ -15,7 +15,7 @@
 // also accepts --log_level=debug|info|warning|error,
 // --metrics_out=FILE (telemetry snapshot; ".json" suffix selects the
 // JSON exporter, anything else the Prometheus text format), and the
-// observability knobs --obs_enabled / --trace_ring / --trace_tree_ring /
+// observability knobs --obs_enabled / --trace_tree_ring /
 // --obs_head_sample / --obs_tail_ms.
 
 #include <algorithm>
@@ -43,18 +43,18 @@ int Fail(const std::string& message) {
 
 int Usage() {
   std::printf(
-      "usage: m2g_cli <generate|train|eval|predict> [--flags]\n"
+      "usage: m2g_cli <generate|train|eval|predict|serve> [--flags]\n"
       "  generate --days N --couriers N --seed S [--out FILE] [--csv FILE]\n"
       "  train    --data FILE --out FILE [--epochs N] [--hidden N]\n"
       "           [--weight-decay X] [--lr X] [--threads N]\n"
       "  eval     --data FILE --weights FILE [--hidden N] [--beam N]\n"
       "  predict  --data FILE --weights FILE --sample I [--hidden N]\n"
-      "  serve    --data FILE --weights FILE [--admin_port P] [--batch]\n"
+      "  serve    --data FILE --weights FILE [--admin_port P]\n"
       "           [--threads N] [--requests N] [--traces_out FILE]\n"
       "           [--events_out FILE]\n"
       "common:    [--log_level debug|info|warning|error]\n"
       "           [--metrics_out FILE[.json]] [--obs_enabled BOOL]\n"
-      "           [--trace_ring N] [--trace_tree_ring N]\n"
+      "           [--trace_tree_ring N]\n"
       "           [--obs_head_sample N] [--obs_tail_ms X]\n");
   return 2;
 }
@@ -201,12 +201,6 @@ int Serve(const FlagParser& flags) {
   if (data.value().test.size() == 0) return Fail("test split is empty");
 
   serve::ModelRegistry registry(model, /*initial_version=*/1);
-  serve::ServingConfig config;
-  config.batching_enabled = flags.GetBool("batch", false);
-  config.batch.max_batch_size =
-      flags.GetInt("max_batch", config.batch.max_batch_size);
-  config.batch.max_linger_us =
-      flags.GetInt("linger_us", config.batch.max_linger_us);
   // Rebuild the world the dataset was generated from (splits files carry
   // samples, not the city): --seed / --aois must match the generate run.
   synth::DataConfig dconfig;
@@ -215,7 +209,7 @@ int Serve(const FlagParser& flags) {
   Rng seed_rng(dconfig.seed);
   Rng world_rng = seed_rng.Fork();
   const synth::World world = synth::GenerateWorld(dconfig.world, &world_rng);
-  serve::RtpService service(&world, &registry, config);
+  serve::RtpService service(&world, &registry, serve::ServingConfig());
 
   // The admin endpoint stays live for the whole replay: scrape
   // /metrics, /traces, /events, /healthz from another terminal while
@@ -250,14 +244,21 @@ int Serve(const FlagParser& flags) {
         data.value().test.samples[i % data.value().test.size()]));
   }
   const int threads = std::max(1, flags.GetInt("threads", 4));
-  std::printf("serving %d requests from %d threads (batching %s) ...\n",
-              total, threads, config.batching_enabled ? "on" : "off");
+  std::printf("serving %d requests from %d threads ...\n", total,
+              threads);
   serve::ConcurrentReplayResult replay =
       serve::ReplayConcurrently(service, requests, threads);
-  std::printf("%zu responses in %.2fs (%.1f req/s), %llu sheds\n",
+  std::printf("%zu responses in %.2fs (%.1f req/s), %lld rejected\n",
               replay.responses.size(), replay.wall_seconds,
               replay.requests_per_second,
-              static_cast<unsigned long long>(service.batch_sheds()));
+              static_cast<long long>(replay.rejected));
+  for (const serve::RtpService::Response& response : replay.responses) {
+    if (!response.status.ok()) {
+      std::fprintf(stderr, "first rejection: %s\n",
+                   response.status.ToString().c_str());
+      break;
+    }
+  }
 
   if (flags.Has("traces_out")) {
     const std::string path = flags.GetString("traces_out", "traces.json");

@@ -84,10 +84,6 @@ bool FlagParser::ApplyLogLevelFlag() const {
 
 void FlagParser::ApplyObsFlags() const {
   if (Has("obs_enabled")) obs::SetEnabled(GetBool("obs_enabled", true));
-  if (Has("trace_ring")) {
-    obs::SetTraceRingCapacity(
-        static_cast<size_t>(std::max(0, GetInt("trace_ring", 256))));
-  }
   if (Has("trace_tree_ring")) {
     obs::SetTraceTreeRingCapacity(
         static_cast<size_t>(std::max(0, GetInt("trace_tree_ring", 64))));

@@ -39,9 +39,9 @@ class FlagParser {
 
   /// Applies the observability knobs when present, leaving absent ones
   /// untouched: --obs_enabled=false (runtime kill switch),
-  /// --trace_ring=N (flat span ring), --trace_tree_ring=N (trace-tree
-  /// ring), --obs_head_sample=N (keep every Nth wide event),
-  /// --obs_tail_ms=X (always keep wide events at/over X ms total).
+  /// --trace_tree_ring=N (trace-tree ring), --obs_head_sample=N (keep
+  /// every Nth wide event), --obs_tail_ms=X (always keep wide events
+  /// at/over X ms total).
   void ApplyObsFlags() const;
 
  private:

@@ -74,14 +74,6 @@ struct ModelConfig {
   /// any cached representation chain can grow. 1 disables deltas
   /// entirely; large values trust the bitwise-parity guarantee.
   int incremental_refresh_period = 64;
-  /// Kill switch for the runtime-dispatched SIMD kernel tier
-  /// (tensor/simd.h). With it off, constructing the model forces the
-  /// process-global dispatch to the scalar tier — note "process-global":
-  /// this is an operational A/B switch, not a per-model setting. Outputs
-  /// are bitwise-identical across tiers either way (simd_parity_test);
-  /// the M2G_SIMD environment variable offers the same control without a
-  /// rebuild or config change.
-  bool simd_kernels = true;
 
   graph::GraphConfig graph;
 };

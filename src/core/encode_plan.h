@@ -16,60 +16,33 @@ namespace m2g::core {
 /// Per-head buffers (wh, msg, nw4, nw5) are packed at the head's output
 /// width dh (hidden/P on hidden layers, hidden on the last), so a buffer
 /// sized (max_nodes, hidden_dim) covers both layer kinds.
-///
-/// A plan built with `batch_capacity` B > 1 is one *page set*: every
-/// per-request buffer is allocated B times over in one contiguous
-/// allocation, and page b (the `*_page(b)` accessors) is the scratch of
-/// the b-th request of a micro-batch. Page 0 has exactly the layout of a
-/// single-request plan, so the single-request fast path is the B == 1
-/// special case of the same code. `logits`, `alpha` and `row` stay
-/// single: they are per-attention-row temporaries consumed before the
-/// next row, never live across requests.
 struct EncodePlan {
   /// Builds the scratch for graphs of up to `max_nodes` nodes at encoder
-  /// width `hidden_dim`, with pages for `batch_capacity` concurrent
-  /// requests. Records the encode.plan_build.ms span and the
+  /// width `hidden_dim`. Records the encode.plan_build.ms span and the
   /// encode.plan_builds counter.
-  EncodePlan(int max_nodes, int hidden_dim, int batch_capacity = 1);
+  EncodePlan(int max_nodes, int hidden_dim);
+
+  /// The in-place residuals closing a fast GAT-e layer: h += node_out
+  /// and z += edge_out over h's and z's sizes — the same elementwise
+  /// ascending order as the legacy Add's copy + AddInPlace, minus the
+  /// copies.
+  void AddResiduals(Matrix* h, Matrix* z) const;
 
   int max_nodes = 0;
   int hidden_dim = 0;
-  int batch_capacity = 1;
 
-  Matrix wh;        // (B*max_n, d)    W1-projected nodes (Eq. 20)
-  Matrix msg;       // (B*max_n, d)    W2 messages (Eq. 22)
-  Matrix nw4;       // (B*max_n, d)    nodes * W4, hoisted out of Eq. 23
-  Matrix nw5;       // (B*max_n, d)    nodes * W5, hoisted out of Eq. 23
-  Matrix s_src;     // (B*max_n, 1)    wh * av_src
-  Matrix s_dst;     // (B*max_n, 1)    wh * av_dst
-  Matrix s_edge;    // (B*max_n^2, 1)  edges * ae
-  Matrix logits;    // (1, max_n)      one attention row's logits
-  Matrix alpha;     // (1, max_n)      one attention row's softmax
-  Matrix row;       // (1, d)          per-row head scratch (last layer)
-  Matrix node_out;  // (B*max_n, d)    layer output, pre-residual
-  Matrix edge_out;  // (B*max_n^2, d)  layer output, pre-residual
-
-  // Page accessors: request b's slice of each buffer (b == 0 is the
-  // whole buffer for a single-request plan).
-  float* wh_page(int b) { return wh.data() + node_stride() * b; }
-  float* msg_page(int b) { return msg.data() + node_stride() * b; }
-  float* nw4_page(int b) { return nw4.data() + node_stride() * b; }
-  float* nw5_page(int b) { return nw5.data() + node_stride() * b; }
-  float* s_src_page(int b) { return s_src.data() + vec_stride() * b; }
-  float* s_dst_page(int b) { return s_dst.data() + vec_stride() * b; }
-  float* s_edge_page(int b) { return s_edge.data() + edge_vec_stride() * b; }
-  float* node_out_page(int b) { return node_out.data() + node_stride() * b; }
-  float* edge_out_page(int b) { return edge_out.data() + edge_stride() * b; }
-
- private:
-  size_t node_stride() const {
-    return static_cast<size_t>(max_nodes) * hidden_dim;
-  }
-  size_t vec_stride() const { return static_cast<size_t>(max_nodes); }
-  size_t edge_vec_stride() const {
-    return static_cast<size_t>(max_nodes) * max_nodes;
-  }
-  size_t edge_stride() const { return edge_vec_stride() * hidden_dim; }
+  Matrix wh;        // (max_n, d)    W1-projected nodes (Eq. 20)
+  Matrix msg;       // (max_n, d)    W2 messages (Eq. 22)
+  Matrix nw4;       // (max_n, d)    nodes * W4, hoisted out of Eq. 23
+  Matrix nw5;       // (max_n, d)    nodes * W5, hoisted out of Eq. 23
+  Matrix s_src;     // (max_n, 1)    wh * av_src
+  Matrix s_dst;     // (max_n, 1)    wh * av_dst
+  Matrix s_edge;    // (max_n^2, 1)  edges * ae
+  Matrix logits;    // (1, max_n)    one attention row's logits
+  Matrix alpha;     // (1, max_n)    one attention row's softmax
+  Matrix row;       // (1, d)        per-row head scratch (last layer)
+  Matrix node_out;  // (max_n, d)    layer output, pre-residual
+  Matrix edge_out;  // (max_n^2, d)  layer output, pre-residual
 };
 
 }  // namespace m2g::core

@@ -58,61 +58,25 @@ EncodedLevel LevelEncoder::EncodeLegacy(const graph::LevelGraph& level,
 EncodedLevel LevelEncoder::EncodeFast(const graph::LevelGraph& level,
                                       const Tensor& global_embed,
                                       EncodePlan* plan) const {
-  std::vector<EncodedLevel> out =
-      EncodeFastBatch({&level}, {&global_embed}, plan);
-  return std::move(out.front());
-}
-
-std::vector<EncodedLevel> LevelEncoder::EncodeFastBatch(
-    const std::vector<const graph::LevelGraph*>& levels,
-    const std::vector<const Tensor*>& global_embeds,
-    EncodePlan* plan) const {
   M2G_CHECK(use_graph_);
   M2G_CHECK(!GradMode::enabled());
-  M2G_CHECK(!levels.empty());
-  M2G_CHECK_EQ(levels.size(), global_embeds.size());
-  M2G_CHECK_LE(static_cast<int>(levels.size()), plan->batch_capacity);
-  const int count = static_cast<int>(levels.size());
+  M2G_CHECK_GE(plan->max_nodes, level.n);
   // Embeddings and the input projection stay on the op layer: under
   // no-grad they already fold to constants, and they are O(n d^2) —
   // fusing them would not move the n^2 d^2 needle the GAT stack does.
+  Tensor nodes = feature_embed_->EmbedNodes(level);
+  nodes = input_proj_->Forward(
+      ConcatCols(nodes, BroadcastRows(global_embed, level.n)));
+  Tensor edges = feature_embed_->EmbedEdges(level);
   // Running representations, mutated in place across layers; the copies
   // draw from the pool and become the returned tensors' storage.
-  std::vector<Matrix> h(count), z(count);
-  for (int s = 0; s < count; ++s) {
-    const graph::LevelGraph& level = *levels[s];
-    M2G_CHECK_GE(plan->max_nodes, level.n);
-    Tensor nodes = feature_embed_->EmbedNodes(level);
-    nodes = input_proj_->Forward(
-        ConcatCols(nodes, BroadcastRows(*global_embeds[s], level.n)));
-    Tensor edges = feature_embed_->EmbedEdges(level);
-    h[s] = nodes.value();
-    z[s] = edges.value();
-  }
-  std::vector<GatEFastItem> items(count);
+  Matrix h = nodes.value();
+  Matrix z = edges.value();
   for (const auto& layer : layers_) {
-    for (int s = 0; s < count; ++s) {
-      items[s] = {&h[s], &z[s], &levels[s]->adjacency, s};
-    }
-    layer->ForwardFastBatch(items, plan);
-    // Residuals in place: the same elementwise ascending order as the
-    // legacy Add's copy + AddInPlace, minus the copies.
-    for (int s = 0; s < count; ++s) {
-      float* hd = h[s].data();
-      const float* no = plan->node_out_page(s);
-      for (size_t t = 0, nd = h[s].size(); t < nd; ++t) hd[t] += no[t];
-      float* zd = z[s].data();
-      const float* eo = plan->edge_out_page(s);
-      for (size_t t = 0, nnd = z[s].size(); t < nnd; ++t) zd[t] += eo[t];
-    }
+    layer->ForwardFast(h, z, level.adjacency, plan);
+    plan->AddResiduals(&h, &z);
   }
-  std::vector<EncodedLevel> out;
-  out.reserve(count);
-  for (int s = 0; s < count; ++s) {
-    out.push_back({Tensor::Constant(std::move(h[s])),
-                   Tensor::Constant(std::move(z[s]))});
-  }
-  return out;
+  return {Tensor::Constant(std::move(h)), Tensor::Constant(std::move(z))};
 }
 
 EncodedLevel LevelEncoder::EncodeWithGat(

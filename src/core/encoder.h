@@ -59,18 +59,6 @@ class LevelEncoder : public nn::Module {
                           const Tensor& global_embed,
                           EncodePlan* plan) const;
 
-  /// Micro-batched fast path: EncodeFast for every (level, global_embed)
-  /// pair through one shared plan page set — each request owns page s,
-  /// and the GAT-e layers run in cross-request head-lockstep
-  /// (GatELayer::ForwardFastBatch), streaming each weight once per batch.
-  /// Result s is bitwise-identical to EncodeFast(levels[s],
-  /// *global_embeds[s], plan). Requires GradMode disabled, the GAT-e
-  /// variant, and levels.size() <= plan->batch_capacity.
-  std::vector<EncodedLevel> EncodeFastBatch(
-      const std::vector<const graph::LevelGraph*>& levels,
-      const std::vector<const Tensor*>& global_embeds,
-      EncodePlan* plan) const;
-
   /// EncodeFast that also warms an encode-session cache: per-layer node
   /// and edge representations plus the per-head z*W3 / s_edge
   /// intermediates are snapshotted into `cache` (sized/grown here) as

@@ -143,109 +143,57 @@ GatEOutput GatELayer::Forward(const Tensor& nodes, const Tensor& edges,
 
 void GatELayer::ForwardFast(const Matrix& nodes, const Matrix& edges,
                             const std::vector<bool>& adjacency,
-                            EncodePlan* plan) const {
-  ForwardFastBatch({{&nodes, &edges, &adjacency, 0}}, plan);
-}
-
-void GatELayer::ForwardFastBatch(
-    const std::vector<GatEFastItem>& items, EncodePlan* plan,
-    const std::vector<GatECapture*>* captures) const {
+                            EncodePlan* plan, GatECapture* capture) const {
   const int d = hidden_dim_;
   const int dh = head_dim_;
+  const int n = nodes.rows();
   M2G_CHECK(!GradMode::enabled());
-  M2G_CHECK(!items.empty());
   M2G_CHECK_EQ(plan->hidden_dim, d);
-  if (captures != nullptr) {
-    M2G_CHECK_EQ(captures->size(), items.size());
-  }
-  for (const GatEFastItem& item : items) {
-    const int n = item.nodes->rows();
-    M2G_CHECK_EQ(item.nodes->cols(), d);
-    M2G_CHECK_EQ(item.edges->rows(), n * n);
-    M2G_CHECK_EQ(item.edges->cols(), d);
-    M2G_CHECK_EQ(item.adjacency->size(), static_cast<size_t>(n) * n);
-    M2G_CHECK_GE(plan->max_nodes, n);
-    M2G_CHECK_LT(item.page, plan->batch_capacity);
-    FastLayerCounter().Increment();
-  }
+  M2G_CHECK_EQ(nodes.cols(), d);
+  M2G_CHECK_EQ(edges.rows(), n * n);
+  M2G_CHECK_EQ(edges.cols(), d);
+  M2G_CHECK_EQ(adjacency.size(), static_cast<size_t>(n) * n);
+  M2G_CHECK_GE(plan->max_nodes, n);
+  FastLayerCounter().Increment();
 
-  // Scratch for the batched projections: one MatMulManySlice per item,
-  // rebuilt per weight (the slice list is tiny; the products dominate).
-  // All the matmul/logit kernels below dispatch through the runtime
-  // SIMD tier (tensor/simd.h) — bitwise-identical on every tier, so
-  // nothing here depends on which one the host selected.
-  std::vector<MatMulManySlice> slices(items.size());
+  float* node_out = plan->node_out.data();
+  float* edge_out = plan->edge_out.data();
+  float* s_src = plan->s_src.data();
+  float* s_dst = plan->s_dst.data();
+  float* s_edge = plan->s_edge.data();
+  float* wh = plan->wh.data();
+  float* msg = plan->msg.data();
+  float* nw4 = plan->nw4.data();
+  float* nw5 = plan->nw5.data();
 
   for (int p = 0; p < num_heads_; ++p) {
     const Head& head = heads_[p];
-    // Eq. 20/22/23 projections, head-lockstep across the batch: each
-    // weight streams once per batch (MatMulManyInto), every item's
-    // product lands in its own plan page with MatMulInto's exact bits.
-    // The (1,)-wide products take AccumulateRowMatMul's branchy path —
-    // the same path MatMulRaw picked for them on the legacy graph.
-    for (size_t s = 0; s < items.size(); ++s) {
-      slices[s] = {items[s].nodes->data(), items[s].nodes->rows(),
-                   plan->wh_page(items[s].page)};
-    }
-    MatMulManyInto(slices.data(), static_cast<int>(slices.size()), d,
-                   head.w1.value().data(), dh);
-    for (size_t s = 0; s < items.size(); ++s) {
-      slices[s] = {plan->wh_page(items[s].page), items[s].nodes->rows(),
-                   plan->s_src_page(items[s].page)};
-    }
-    MatMulManyInto(slices.data(), static_cast<int>(slices.size()), dh,
-                   head.av_src.value().data(), 1);
-    for (size_t s = 0; s < items.size(); ++s) {
-      slices[s] = {plan->wh_page(items[s].page), items[s].nodes->rows(),
-                   plan->s_dst_page(items[s].page)};
-    }
-    MatMulManyInto(slices.data(), static_cast<int>(slices.size()), dh,
-                   head.av_dst.value().data(), 1);
-    for (size_t s = 0; s < items.size(); ++s) {
-      const int n = items[s].nodes->rows();
-      slices[s] = {items[s].edges->data(), n * n,
-                   plan->s_edge_page(items[s].page)};
-    }
-    MatMulManyInto(slices.data(), static_cast<int>(slices.size()), d,
-                   head.ae.value().data(), 1);
-    if (captures != nullptr) {
+    // Eq. 20/22/23 projections into the plan's scratch. Every matmul and
+    // logit kernel below dispatches through the runtime SIMD tier
+    // (tensor/simd.h) — bitwise-identical on every tier. The (1,)-wide
+    // products take AccumulateRowMatMul's branchy path — the same path
+    // MatMulRaw picked for them on the legacy graph.
+    MatMulInto(nodes.data(), n, d, head.w1.value().data(), dh, wh);
+    MatMulInto(wh, n, dh, head.av_src.value().data(), 1, s_src);
+    MatMulInto(wh, n, dh, head.av_dst.value().data(), 1, s_dst);
+    MatMulInto(edges.data(), n * n, d, head.ae.value().data(), 1, s_edge);
+    if (capture != nullptr) {
       // Donate this head's s_edge column to the session cache, re-laid
       // from dense (i*n + j) rows to padded (i*block + j) rows.
-      for (size_t s = 0; s < items.size(); ++s) {
-        GatECapture* cap = (*captures)[s];
-        if (cap == nullptr) continue;
-        const int n = items[s].nodes->rows();
-        const float* src = plan->s_edge_page(items[s].page);
-        float* out = cap->se[p];
-        for (int i = 0; i < n; ++i) {
-          std::copy(src + static_cast<size_t>(i) * n,
-                    src + static_cast<size_t>(i) * n + n,
-                    out + static_cast<size_t>(i) * cap->block);
-        }
+      float* out = capture->se[p];
+      for (int i = 0; i < n; ++i) {
+        std::copy(s_edge + static_cast<size_t>(i) * n,
+                  s_edge + static_cast<size_t>(i) * n + n,
+                  out + static_cast<size_t>(i) * capture->block);
       }
     }
-    for (size_t s = 0; s < items.size(); ++s) {
-      slices[s] = {items[s].nodes->data(), items[s].nodes->rows(),
-                   plan->msg_page(items[s].page)};
-    }
-    MatMulManyInto(slices.data(), static_cast<int>(slices.size()), d,
-                   head.w2.value().data(), dh);
+    MatMulInto(nodes.data(), n, d, head.w2.value().data(), dh, msg);
     // Eq. 23 node terms, hoisted out of the n^2 edge loop: the legacy
     // MatMul(GatherRows(nodes, idx), W) accumulates every gathered row
     // from zero, so its row (i, j) is bit-identical to row i of
     // nodes * W — two (n, dh) products replace two (n^2, dh) ones.
-    for (size_t s = 0; s < items.size(); ++s) {
-      slices[s] = {items[s].nodes->data(), items[s].nodes->rows(),
-                   plan->nw4_page(items[s].page)};
-    }
-    MatMulManyInto(slices.data(), static_cast<int>(slices.size()), d,
-                   head.w4.value().data(), dh);
-    for (size_t s = 0; s < items.size(); ++s) {
-      slices[s] = {items[s].nodes->data(), items[s].nodes->rows(),
-                   plan->nw5_page(items[s].page)};
-    }
-    MatMulManyInto(slices.data(), static_cast<int>(slices.size()), d,
-                   head.w5.value().data(), dh);
+    MatMulInto(nodes.data(), n, d, head.w4.value().data(), dh, nw4);
+    MatMulInto(nodes.data(), n, d, head.w5.value().data(), dh, nw5);
 
     const bool last = is_last_;
     // Hidden layers write head p's columns of the concat epilogue
@@ -254,72 +202,56 @@ void GatELayer::ForwardFastBatch(
     // sequential elementwise adds of the legacy epilogue (Eq. 26).
     const int col0 = last ? 0 : p * dh;
 
-    for (size_t s = 0; s < items.size(); ++s) {
-      const GatEFastItem& item = items[s];
-      GatECapture* capture =
-          captures != nullptr ? (*captures)[s] : nullptr;
-      const int n = item.nodes->rows();
-      const std::vector<bool>& adjacency = *item.adjacency;
-      float* node_out = plan->node_out_page(item.page);
-      float* edge_out = plan->edge_out_page(item.page);
-      const float* s_src = plan->s_src_page(item.page);
-      const float* s_dst = plan->s_dst_page(item.page);
-      const float* s_edge = plan->s_edge_page(item.page);
-      const float* msg = plan->msg_page(item.page);
-      const float* nw4 = plan->nw4_page(item.page);
-      const float* nw5 = plan->nw5_page(item.page);
-
-      // Attention rows: logits -> masked softmax -> aggregation, fused
-      // (Eq. 20-22), no (1, n) or (1, dh) temporaries.
-      for (int i = 0; i < n; ++i) {
-        const size_t base = static_cast<size_t>(i) * n;
-        GatLogitsRow(s_dst, s_edge + base, s_src[i], leaky_slope_, n,
-                     plan->logits.data());
-        MaskedSoftmaxRowRaw(plan->logits.data(), adjacency, base, n,
-                            plan->alpha.data());
-        float* dst = (last && p > 0)
-                         ? plan->row.data()
-                         : node_out + static_cast<size_t>(i) * d + col0;
-        std::fill(dst, dst + dh, 0.0f);
-        AccumulateRowMatMul(plan->alpha.data(), n, msg, dh, dst);
-        if (!last) {
-          for (int c = 0; c < dh; ++c) {
-            dst[c] = dst[c] > 0.0f ? dst[c] : 0.0f;
-          }
-        } else if (p > 0) {
-          float* acc = node_out + static_cast<size_t>(i) * d;
-          for (int c = 0; c < dh; ++c) acc[c] += dst[c];
+    // Attention rows: logits -> masked softmax -> aggregation, fused
+    // (Eq. 20-22), no (1, n) or (1, dh) temporaries.
+    for (int i = 0; i < n; ++i) {
+      const size_t base = static_cast<size_t>(i) * n;
+      GatLogitsRow(s_dst, s_edge + base, s_src[i], leaky_slope_, n,
+                   plan->logits.data());
+      MaskedSoftmaxRowRaw(plan->logits.data(), adjacency, base, n,
+                          plan->alpha.data());
+      float* dst = (last && p > 0)
+                       ? plan->row.data()
+                       : node_out + static_cast<size_t>(i) * d + col0;
+      std::fill(dst, dst + dh, 0.0f);
+      AccumulateRowMatMul(plan->alpha.data(), n, msg, dh, dst);
+      if (!last) {
+        for (int c = 0; c < dh; ++c) {
+          dst[c] = dst[c] > 0.0f ? dst[c] : 0.0f;
         }
+      } else if (p > 0) {
+        float* acc = node_out + static_cast<size_t>(i) * d;
+        for (int c = 0; c < dh; ++c) acc[c] += dst[c];
       }
+    }
 
-      // Edge updates (Eq. 23/25): z' = ReLU(z W3 + (nw4_i + nw5_j)),
-      // keeping the legacy association order ew3 + (w4-term + w5-term).
-      for (int i = 0; i < n; ++i) {
-        const float* nw4_row = nw4 + static_cast<size_t>(i) * dh;
-        for (int j = 0; j < n; ++j) {
-          const size_t r = static_cast<size_t>(i) * n + j;
-          const float* nw5_row = nw5 + static_cast<size_t>(j) * dh;
-          float* dst = (last && p > 0) ? plan->row.data()
-                                       : edge_out + r * d + col0;
-          std::fill(dst, dst + dh, 0.0f);
-          AccumulateRowMatMul(item.edges->data() + r * d, d,
-                              head.w3.value().data(), dh, dst);
-          if (capture != nullptr) {
-            // dst holds exactly z_ij * W3 here (pre-epilogue): the value
-            // the delta path caches per (layer, head, pair).
-            std::copy(dst, dst + dh,
-                      capture->ew3[p] +
-                          (static_cast<size_t>(i) * capture->block + j) * dh);
-          }
-          for (int c = 0; c < dh; ++c) {
-            const float t = nw4_row[c] + nw5_row[c];
-            const float v = dst[c] + t;
-            dst[c] = v > 0.0f ? v : 0.0f;
-          }
-          if (last && p > 0) {
-            float* acc = edge_out + r * d;
-            for (int c = 0; c < dh; ++c) acc[c] += dst[c];
-          }
+    // Edge updates (Eq. 23/25): z' = ReLU(z W3 + (nw4_i + nw5_j)),
+    // keeping the legacy association order ew3 + (w4-term + w5-term).
+    for (int i = 0; i < n; ++i) {
+      const float* nw4_row = nw4 + static_cast<size_t>(i) * dh;
+      for (int j = 0; j < n; ++j) {
+        const size_t r = static_cast<size_t>(i) * n + j;
+        const float* nw5_row = nw5 + static_cast<size_t>(j) * dh;
+        float* dst =
+            (last && p > 0) ? plan->row.data() : edge_out + r * d + col0;
+        std::fill(dst, dst + dh, 0.0f);
+        AccumulateRowMatMul(edges.data() + r * d, d, head.w3.value().data(),
+                            dh, dst);
+        if (capture != nullptr) {
+          // dst holds exactly z_ij * W3 here (pre-epilogue): the value
+          // the delta path caches per (layer, head, pair).
+          std::copy(dst, dst + dh,
+                    capture->ew3[p] +
+                        (static_cast<size_t>(i) * capture->block + j) * dh);
+        }
+        for (int c = 0; c < dh; ++c) {
+          const float t = nw4_row[c] + nw5_row[c];
+          const float v = dst[c] + t;
+          dst[c] = v > 0.0f ? v : 0.0f;
+        }
+        if (last && p > 0) {
+          float* acc = edge_out + r * d;
+          for (int c = 0; c < dh; ++c) acc[c] += dst[c];
         }
       }
     }
@@ -329,17 +261,12 @@ void GatELayer::ForwardFastBatch(
     // Eq. 26 epilogue: scale the head sums by 1/P, then the delayed node
     // ReLU (edges average without an extra activation).
     const float inv = 1.0f / static_cast<float>(num_heads_);
-    for (const GatEFastItem& item : items) {
-      const int n = item.nodes->rows();
-      float* node_out = plan->node_out_page(item.page);
-      float* edge_out = plan->edge_out_page(item.page);
-      for (size_t t = 0, end = static_cast<size_t>(n) * d; t < end; ++t) {
-        const float v = node_out[t] * inv;
-        node_out[t] = v > 0.0f ? v : 0.0f;
-      }
-      const size_t nnd = static_cast<size_t>(n) * n * d;
-      for (size_t t = 0; t < nnd; ++t) edge_out[t] *= inv;
+    for (size_t t = 0, end = static_cast<size_t>(n) * d; t < end; ++t) {
+      const float v = node_out[t] * inv;
+      node_out[t] = v > 0.0f ? v : 0.0f;
     }
+    const size_t nnd = static_cast<size_t>(n) * n * d;
+    for (size_t t = 0; t < nnd; ++t) edge_out[t] *= inv;
   }
 }
 
@@ -393,33 +320,33 @@ void GatELayer::ForwardFastDelta(GatEDeltaItem* item,
   }
 
   const bool last = is_last_;
-  float* node_out = plan->node_out_page(0);
-  float* edge_out = plan->edge_out_page(0);
+  float* node_out = plan->node_out.data();
+  float* edge_out = plan->edge_out.data();
   for (int p = 0; p < num_heads_; ++p) {
     const Head& head = heads_[p];
     // Per-node projections are recomputed in full: they are O(n d dh) —
     // noise next to the n^2 terms — and a full MatMulInto reproduces the
     // warm forward's bits for clean rows for free.
     MatMulInto(item->h_in, n, d, head.w1.value().data(), dh,
-               plan->wh_page(0));
-    MatMulInto(plan->wh_page(0), n, dh, head.av_src.value().data(), 1,
-               plan->s_src_page(0));
-    MatMulInto(plan->wh_page(0), n, dh, head.av_dst.value().data(), 1,
-               plan->s_dst_page(0));
+               plan->wh.data());
+    MatMulInto(plan->wh.data(), n, dh, head.av_src.value().data(), 1,
+               plan->s_src.data());
+    MatMulInto(plan->wh.data(), n, dh, head.av_dst.value().data(), 1,
+               plan->s_dst.data());
     MatMulInto(item->h_in, n, d, head.w2.value().data(), dh,
-               plan->msg_page(0));
+               plan->msg.data());
     MatMulInto(item->h_in, n, d, head.w4.value().data(), dh,
-               plan->nw4_page(0));
+               plan->nw4.data());
     MatMulInto(item->h_in, n, d, head.w5.value().data(), dh,
-               plan->nw5_page(0));
-    const float* s_src = plan->s_src_page(0);
-    const float* s_dst = plan->s_dst_page(0);
-    const float* msg = plan->msg_page(0);
-    const float* nw4 = plan->nw4_page(0);
-    const float* nw5 = plan->nw5_page(0);
+               plan->nw5.data());
+    const float* s_src = plan->s_src.data();
+    const float* s_dst = plan->s_dst.data();
+    const float* msg = plan->msg.data();
+    const float* nw4 = plan->nw4.data();
+    const float* nw5 = plan->nw5.data();
 
-    // s_edge updates for pairs whose z_l changed (one row of the batch
-    // kernel: zeroed accumulator + AccumulateRowMatMul — MatMulInto's
+    // s_edge updates for pairs whose z_l changed (one row of the full
+    // product: zeroed accumulator + AccumulateRowMatMul — MatMulInto's
     // exact bits for that row).
     float* se = item->se[p];
     for (int i = 0; i < n; ++i) {

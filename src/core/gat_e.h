@@ -17,21 +17,11 @@ struct GatEOutput {
   Tensor edges;  // (n*n, hidden_dim)
 };
 
-/// One request's slice of a batched fast forward: the layer inputs plus
-/// the index of the EncodePlan page set that holds its scratch and
-/// output pages.
-struct GatEFastItem {
-  const Matrix* nodes = nullptr;             // (n, d)
-  const Matrix* edges = nullptr;             // (n*n, d)
-  const std::vector<bool>* adjacency = nullptr;
-  int page = 0;                              // plan page owned by this item
-};
-
 /// Destination buffers for the per-head intermediates a warming encode
 /// donates to an encode-session cache (core/incremental_encode): the
 /// Eq. 23 z*W3 product and the Eq. 20 s_edge column, per head, stored in
 /// row blocks of `block` entries so pair (i, j) lands at row i*block + j
-/// regardless of n. Capturing is a pure copy of values ForwardFastBatch
+/// regardless of n. Capturing is a pure copy of values ForwardFast
 /// computes anyway — the forward's arithmetic and outputs are untouched.
 struct GatECapture {
   int block = 0;               // pair-row stride, >= n
@@ -89,27 +79,13 @@ class GatELayer : public nn::Module {
   /// node terms are hoisted to two (n, dh) products, and attention rows
   /// aggregate straight into the packed multi-head output). Requires
   /// GradMode disabled; increments encode.fast_layers.
-  void ForwardFast(const Matrix& nodes, const Matrix& edges,
-                   const std::vector<bool>& adjacency,
-                   EncodePlan* plan) const;
-
-  /// Cross-request batched fast path: ForwardFast for every item of a
-  /// micro-batch through one shared plan page set, in head-lockstep —
-  /// the per-head weight streams (W1..W5, a_v, a_e) are traversed once
-  /// per batch (MatMulManyInto) instead of once per request, and each
-  /// item's arithmetic is untouched, so item i's output pages hold
-  /// exactly the bits ForwardFast(item i) would have produced.
-  /// ForwardFast is the single-item special case of this entry point.
-  /// Requires GradMode disabled and distinct pages < plan->batch_capacity.
   ///
-  /// `captures`, when given, holds one (possibly null) GatECapture per
-  /// item whose buffers receive the per-head z*W3 and s_edge
+  /// `capture`, when given, receives the per-head z*W3 and s_edge
   /// intermediates — the warm-up donation for incremental re-encode.
   /// Passing it changes no output bit.
-  void ForwardFastBatch(const std::vector<GatEFastItem>& items,
-                        EncodePlan* plan,
-                        const std::vector<GatECapture*>* captures =
-                            nullptr) const;
+  void ForwardFast(const Matrix& nodes, const Matrix& edges,
+                   const std::vector<bool>& adjacency, EncodePlan* plan,
+                   GatECapture* capture = nullptr) const;
 
   /// Incremental re-encode of one layer: recomputes attention rows whose
   /// mask or inputs changed and edge pairs with a changed endpoint or

@@ -255,16 +255,8 @@ EncodedLevel LevelEncoder::EncodeFastCached(const graph::LevelGraph& level,
       capture.se.push_back(cache->se[static_cast<size_t>(l) * heads + p]
                                .data());
     }
-    std::vector<GatECapture*> captures{&capture};
-    layers_[l]->ForwardFastBatch({{&h, &z, &level.adjacency, 0}}, plan,
-                                 &captures);
-    // In-place residuals, exactly EncodeFastBatch's loop.
-    float* hd = h.data();
-    const float* no = plan->node_out_page(0);
-    for (size_t t = 0, nd = h.size(); t < nd; ++t) hd[t] += no[t];
-    float* zd = z.data();
-    const float* eo = plan->edge_out_page(0);
-    for (size_t t = 0, nnd = z.size(); t < nnd; ++t) zd[t] += eo[t];
+    layers_[l]->ForwardFast(h, z, level.adjacency, plan, &capture);
+    plan->AddResiduals(&h, &z);
     std::memcpy(cache->h[l + 1].data(), h.data(),
                 sizeof(float) * static_cast<size_t>(n) * d);
     PackEdges(z, n, cache->cap, &cache->z[l + 1]);

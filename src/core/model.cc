@@ -8,7 +8,6 @@
 #include "nn/serialize.h"
 #include "obs/trace.h"
 #include "tensor/grad_mode.h"
-#include "tensor/simd.h"
 
 namespace m2g::core {
 namespace {
@@ -38,10 +37,6 @@ Tensor Detach(const Tensor& t) {
 M2g4Rtp::M2g4Rtp(const ModelConfig& config) : config_(config) {
   const Status config_status = ValidateConfig(config);
   M2G_CHECK_MSG(config_status.ok(), config_status.ToString().c_str());
-  // Process-global kill switch (see the config comment): every kernel
-  // tier is bitwise-identical, so this only trades speed for a known-
-  // simple instruction stream.
-  if (!config.simd_kernels) simd::SetTier(simd::Tier::kScalar);
   Rng rng(config.seed);
   global_embed_ = std::make_unique<GlobalFeatureEmbed>(config, &rng);
   AddChild("global_embed", global_embed_.get());
@@ -265,113 +260,6 @@ RtpPrediction M2g4Rtp::DecodeWithEncodings(const synth::Sample& sample,
                           config_.time_scale_minutes);
   }
   return pred;
-}
-
-std::vector<RtpPrediction> M2g4Rtp::PredictBatch(
-    const std::vector<const synth::Sample*>& samples,
-    int plan_capacity_hint,
-    const std::vector<obs::TraceContext>* member_traces) const {
-  const int count = static_cast<int>(samples.size());
-  M2G_CHECK_GE(count, 1);
-  auto member_ctx = [&](int s) {
-    // No member contexts supplied (direct PredictBatch callers): keep the
-    // caller's ambient context so spans attribute exactly as before.
-    if (member_traces == nullptr) return obs::CurrentTraceContext();
-    return s < static_cast<int>(member_traces->size())
-               ? (*member_traces)[s]
-               : obs::TraceContext{};
-  };
-  const bool fast = config_.encode_fast_path && config_.use_graph_encoder &&
-                    !GradMode::enabled();
-  if (!fast || count == 1) {
-    // Kill switch / ablation / trivial batch: the sequential reference.
-    // Each member's Predict runs under its own trace context, so its
-    // graph/encode/decode spans attribute directly (nothing is shared).
-    std::vector<RtpPrediction> out;
-    out.reserve(count);
-    for (int s = 0; s < count; ++s) {
-      obs::TraceContextScope scope(member_ctx(s));
-      out.push_back(Predict(*samples[s]));
-    }
-    return out;
-  }
-
-  // Batch-wide stage spans on the same serve.stage.* histograms Predict
-  // records: one span covers the whole micro-batch's stage, so per-batch
-  // latency lands in the same place dashboards already read. The spans
-  // attach to the leader's batch trace; their ids fan out to every
-  // member trace below as shared-span references.
-  static obs::Histogram& graph_hist =
-      obs::StageHistogram("serve.stage.graph_build.ms");
-  static obs::Histogram& encode_hist =
-      obs::StageHistogram("serve.stage.encode.ms");
-
-  uint64_t graph_span_id = 0;
-  double graph_start_ms = obs::UptimeMs();
-  double graph_ms = 0;
-  std::vector<graph::MultiLevelGraph> graphs(count);
-  {
-    obs::TraceSpan span("serve.stage.graph_build.ms", &graph_hist);
-    span.set_batch_size(count);
-    for (int s = 0; s < count; ++s) {
-      graphs[s] = BuildMultiLevelGraph(*samples[s], config_.graph);
-    }
-    graph_ms = span.Stop();
-    graph_span_id = span.span_id();
-  }
-  uint64_t encode_span_id = 0;
-  double encode_start_ms = obs::UptimeMs();
-  double encode_ms = 0;
-  std::vector<Tensor> u(count);
-  std::vector<EncodedLevel> loc_enc(count), aoi_enc(count);
-  {
-    obs::TraceSpan span("serve.stage.encode.ms", &encode_hist);
-    span.set_batch_size(count);
-    int max_n = 0;
-    for (const graph::MultiLevelGraph& g : graphs) {
-      max_n = std::max(max_n, config_.use_aoi_level
-                                  ? std::max(g.location.n, g.aoi.n)
-                                  : g.location.n);
-    }
-    // One plan page set for the whole batch; the capacity hint keeps the
-    // pooled buffers in one size class across batch compositions.
-    EncodePlan plan(max_n, config_.hidden_dim,
-                    std::max(plan_capacity_hint, count));
-    std::vector<const graph::LevelGraph*> levels(count);
-    std::vector<const Tensor*> embeds(count);
-    for (int s = 0; s < count; ++s) {
-      u[s] = global_embed_->Embed(*samples[s]);
-      levels[s] = &graphs[s].location;
-      embeds[s] = &u[s];
-    }
-    loc_enc = location_encoder_->EncodeFastBatch(levels, embeds, &plan);
-    if (config_.use_aoi_level) {
-      for (int s = 0; s < count; ++s) levels[s] = &graphs[s].aoi;
-      aoi_enc = aoi_encoder_->EncodeFastBatch(levels, embeds, &plan);
-    }
-    encode_ms = span.Stop();
-    encode_span_id = span.span_id();
-  }
-  if (member_traces != nullptr && graph_span_id != 0) {
-    for (int s = 0; s < count; ++s) {
-      const obs::TraceContext ctx = member_ctx(s);
-      obs::RecordSharedSpanRef(ctx, "serve.stage.graph_build.ms",
-                               graph_span_id, graph_start_ms, graph_ms,
-                               count);
-      obs::RecordSharedSpanRef(ctx, "serve.stage.encode.ms", encode_span_id,
-                               encode_start_ms, encode_ms, count);
-    }
-  }
-  std::vector<RtpPrediction> preds;
-  preds.reserve(count);
-  for (int s = 0; s < count; ++s) {
-    // The decode/ETA tail is per-sample work: run it under the member's
-    // context so its spans land in the owning request's tree.
-    obs::TraceContextScope scope(member_ctx(s));
-    preds.push_back(
-        DecodeWithEncodings(*samples[s], u[s], loc_enc[s], aoi_enc[s]));
-  }
-  return preds;
 }
 
 Status M2g4Rtp::Save(const std::string& path) const {

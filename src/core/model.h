@@ -9,7 +9,6 @@
 #include "core/route_decoder.h"
 #include "core/sort_lstm.h"
 #include "core/uncertainty_loss.h"
-#include "obs/trace_context.h"
 
 namespace m2g::core {
 
@@ -75,32 +74,6 @@ class M2g4Rtp : public nn::Module {
                                    IncrementalResult* result =
                                        nullptr) const;
 
-  /// Micro-batched prediction for the serving layer: result s is
-  /// bitwise-identical to Predict(*samples[s]) for every sample
-  /// (serve_test parity suite). With the fast encode path active the
-  /// batch shares one EncodePlan page set and the GAT-e weight streams
-  /// are traversed once per batch (EncodeFastBatch); decode and ETA
-  /// heads run per sample, exactly Predict's tail. Under grad mode, the
-  /// encode_fast_path kill switch, the BiLSTM ablation, or a
-  /// single-sample batch, this is a plain Predict loop.
-  ///
-  /// `plan_capacity_hint`, when >= samples.size(), pre-sizes the plan's
-  /// page count — the batch scheduler passes its max batch size so the
-  /// pooled plan buffers keep one size class across variable batch
-  /// compositions (deterministic pool reuse at steady state).
-  ///
-  /// `member_traces`, when given, carries one TraceContext per sample
-  /// (the submitting request's trace): the batch-amortized graph/encode
-  /// spans are fanned out to each member trace as shared-span references
-  /// tagged with the batch size, and each sample's decode/ETA tail runs
-  /// under that member's context so the per-request span tree stays
-  /// complete through batching. Pure instrumentation — the numeric path
-  /// is identical with or without it.
-  std::vector<RtpPrediction> PredictBatch(
-      const std::vector<const synth::Sample*>& samples,
-      int plan_capacity_hint = 0,
-      const std::vector<obs::TraceContext>* member_traces = nullptr) const;
-
   const ModelConfig& config() const { return config_; }
   const UncertaintyLoss& uncertainty() const { return *uncertainty_; }
 
@@ -125,8 +98,8 @@ class M2g4Rtp : public nn::Module {
                              const std::vector<int>& aoi_route,
                              const std::vector<Tensor>& aoi_times) const;
 
-  /// Predict's decode + ETA tail, shared with PredictBatch: beam decode
-  /// and SortLSTM heads over already-encoded levels, with the
+  /// Predict's decode + ETA tail, shared with PredictIncremental: beam
+  /// decode and SortLSTM heads over already-encoded levels, with the
   /// serve.stage.route_decode/eta_head spans.
   RtpPrediction DecodeWithEncodings(const synth::Sample& sample,
                                     const Tensor& u,

@@ -53,10 +53,6 @@ void AppendSpanJson(std::string* out, const std::vector<TraceEvent>& spans,
   *out += JsonEscape(e.stage != nullptr ? e.stage : "");
   *out += "\", \"span_id\": " + Num(e.span_id);
   *out += ", \"parent_span_id\": " + Num(e.parent_span_id);
-  if (e.ref_span_id != 0) {
-    *out += ", \"ref_span_id\": " + Num(e.ref_span_id);
-  }
-  *out += ", \"batch_size\": " + Num(static_cast<double>(e.batch_size));
   *out += ", \"start_ms\": " + Num(e.start_ms);
   *out += ", \"duration_ms\": " + Num(e.duration_ms);
   *out += ", \"thread_slot\": " + Num(static_cast<double>(e.thread_slot));

@@ -23,8 +23,7 @@ std::string ExportJson();
 
 /// The recent trace-tree ring as a JSON array of nested trees:
 /// [{"trace_id", "tag", "spans": [{stage, span_id, parent_span_id,
-/// ref_span_id, batch_size, start_ms, duration_ms, thread_slot,
-/// children: [...]}]}]. Orphaned spans (parent missing from the tree)
+/// start_ms, duration_ms, thread_slot, children: [...]}]}]. Orphaned spans (parent missing from the tree)
 /// surface as extra roots rather than being dropped.
 std::string ExportTracesJson();
 

@@ -20,37 +20,8 @@ double MsSinceProcessStart(std::chrono::steady_clock::time_point t) {
       .count();
 }
 
-/// Fixed-capacity ring of completed events. A mutex push is fine here:
-/// spans complete a handful of times per multi-millisecond request, and
-/// the overhead bench gates the total.
-struct TraceRing {
-  std::mutex mu;
-  std::vector<TraceEvent> events;
-  size_t capacity = 256;
-  size_t next = 0;
-  bool wrapped = false;
-
-  void Push(const TraceEvent& event) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (capacity == 0) return;
-    if (events.size() < capacity) {
-      events.push_back(event);
-      next = events.size() % capacity;
-      wrapped = events.size() == capacity && next == 0;
-      return;
-    }
-    events[next] = event;
-    next = (next + 1) % capacity;
-    wrapped = true;
-  }
-};
-
-TraceRing& Ring() {
-  static TraceRing* ring = new TraceRing();
-  return *ring;
-}
-
-/// Same shape for finalized trees.
+/// Fixed-capacity ring of finalized trees. A mutex push is fine here:
+/// one tree completes per multi-millisecond request.
 struct TreeRing {
   std::mutex mu;
   std::vector<TraceTree> trees;
@@ -79,9 +50,9 @@ TreeRing& Trees() {
 }
 
 /// In-flight traces: trace id -> spans recorded so far. Spans can arrive
-/// from any thread (a member's own thread plus the batch leader), so the
-/// table is mutex-protected; a trace lives here only for the duration of
-/// its request, then moves to the tree ring at finalization. Events for
+/// from any thread that installed the trace's context, so the table is
+/// mutex-protected; a trace lives here only for the duration of its
+/// request, then moves to the tree ring at finalization. Events for
 /// unknown trace ids (already finalized, or begun while obs was toggled
 /// off) are dropped.
 struct ActiveTraces {
@@ -130,8 +101,6 @@ void AccumulateStage(WideEvent* event, const char* stage,
                      double duration_ms) {
   if (std::strcmp(stage, "serve.stage.feature_extract.ms") == 0) {
     event->feature_extract_ms += duration_ms;
-  } else if (std::strcmp(stage, "serve.batch.queue_wait.ms") == 0) {
-    event->queue_wait_ms += duration_ms;
   } else if (std::strcmp(stage, "serve.stage.graph_build.ms") == 0) {
     event->graph_build_ms += duration_ms;
   } else if (std::strcmp(stage, "serve.stage.encode.ms") == 0) {
@@ -172,40 +141,6 @@ TraceContextScope::TraceContextScope(const TraceContext& ctx)
 }
 
 TraceContextScope::~TraceContextScope() { t_trace_ctx = prev_; }
-
-void SetTraceRingCapacity(size_t capacity) {
-  TraceRing& ring = Ring();
-  std::lock_guard<std::mutex> lock(ring.mu);
-  ring.capacity = capacity;
-  ring.events.clear();
-  ring.events.reserve(capacity);
-  ring.next = 0;
-  ring.wrapped = false;
-}
-
-std::vector<TraceEvent> RecentTraces() {
-  TraceRing& ring = Ring();
-  std::lock_guard<std::mutex> lock(ring.mu);
-  std::vector<TraceEvent> out;
-  out.reserve(ring.events.size());
-  if (ring.wrapped) {
-    out.insert(out.end(), ring.events.begin() + ring.next,
-               ring.events.end());
-    out.insert(out.end(), ring.events.begin(),
-               ring.events.begin() + ring.next);
-  } else {
-    out = ring.events;
-  }
-  return out;
-}
-
-void ClearTraces() {
-  TraceRing& ring = Ring();
-  std::lock_guard<std::mutex> lock(ring.mu);
-  ring.events.clear();
-  ring.next = 0;
-  ring.wrapped = false;
-}
 
 void SetTraceTreeRingCapacity(size_t capacity) {
   TreeRing& ring = Trees();
@@ -261,79 +196,22 @@ void TraceSpan::Start(const char* stage, Histogram* hist) {
 void TraceSpan::Finish() {
   const auto end = std::chrono::steady_clock::now();
   active_ = false;
-  duration_ms_ =
+  const double duration_ms =
       std::chrono::duration<double, std::milli>(end - start_).count();
+  if (hist_ != nullptr) hist_->Record(duration_ms);
+  if (trace_id_ == 0) return;
   TraceEvent event;
   event.stage = stage_;
   event.start_ms = MsSinceProcessStart(start_);
-  event.duration_ms = duration_ms_;
+  event.duration_ms = duration_ms;
   event.thread_slot = internal::ThreadSlot();
   event.trace_id = trace_id_;
   event.span_id = span_id_;
   event.parent_span_id = parent_span_id_;
-  event.batch_size = batch_size_;
-  if (hist_ != nullptr) hist_->Record(duration_ms_);
-  if (trace_id_ != 0) {
-    // Properly nested scope: restore the parent as the thread's innermost
-    // open span before handing the event to the trace table.
-    SetCurrentContext(TraceContext{trace_id_, parent_span_id_});
-    Active().Append(trace_id_, event);
-  } else {
-    Ring().Push(event);
-  }
-}
-
-void RecordExternalSpan(const TraceContext& ctx, const char* stage,
-                        double start_ms, double duration_ms,
-                        Histogram* hist, int batch_size) {
-#ifndef M2G_OBS_DISABLED
-  if (!Enabled()) return;
-  if (hist != nullptr) hist->Record(duration_ms);
-  if (!ctx.active()) return;
-  TraceEvent event;
-  event.stage = stage;
-  event.start_ms = start_ms;
-  event.duration_ms = duration_ms;
-  event.thread_slot = internal::ThreadSlot();
-  event.trace_id = ctx.trace_id;
-  event.span_id = NextTraceId();
-  event.parent_span_id = ctx.span_id;
-  event.batch_size = batch_size;
-  Active().Append(ctx.trace_id, event);
-#else
-  (void)ctx;
-  (void)stage;
-  (void)start_ms;
-  (void)duration_ms;
-  (void)hist;
-  (void)batch_size;
-#endif
-}
-
-void RecordSharedSpanRef(const TraceContext& ctx, const char* stage,
-                         uint64_t ref_span_id, double start_ms,
-                         double duration_ms, int batch_size) {
-#ifndef M2G_OBS_DISABLED
-  if (!Enabled() || !ctx.active()) return;
-  TraceEvent event;
-  event.stage = stage;
-  event.start_ms = start_ms;
-  event.duration_ms = duration_ms;
-  event.thread_slot = internal::ThreadSlot();
-  event.trace_id = ctx.trace_id;
-  event.span_id = NextTraceId();
-  event.parent_span_id = ctx.span_id;
-  event.ref_span_id = ref_span_id;
-  event.batch_size = batch_size;
-  Active().Append(ctx.trace_id, event);
-#else
-  (void)ctx;
-  (void)stage;
-  (void)ref_span_id;
-  (void)start_ms;
-  (void)duration_ms;
-  (void)batch_size;
-#endif
+  // Properly nested scope: restore the parent as the thread's innermost
+  // open span before handing the event to the trace table.
+  SetCurrentContext(TraceContext{trace_id_, parent_span_id_});
+  Active().Append(trace_id_, event);
 }
 
 RequestTrace::RequestTrace(const char* tag) {
@@ -372,41 +250,6 @@ RequestTrace::~RequestTrace() {
   }
   Trees().Push(std::move(tree));
   WideEventSink::Global().Record(event_);
-#endif
-}
-
-BatchTrace::BatchTrace(int batch_size) {
-#ifndef M2G_OBS_DISABLED
-  if (!Enabled()) return;
-  // Unlike RequestTrace, an active context does NOT make the batch trace
-  // inert: the leader executing a batch is itself a traced member, and
-  // the shared graph/encode spans belong to the batch tree, not to the
-  // leader's own request tree (which receives references like every
-  // other member). Suspend the leader's context and restore it after.
-  active_ = true;
-  ctx_.trace_id = NextTraceId();
-  ctx_.span_id = 0;
-  prev_ = CurrentTraceContext();
-  SetCurrentContext(ctx_);
-  Active().Begin(ctx_.trace_id);
-  static Histogram& hist = StageHistogram("serve.batch.execute.ms");
-  root_ = new TraceSpan("serve.batch.execute.ms", &hist);
-  root_->set_batch_size(batch_size);
-#else
-  (void)batch_size;
-#endif
-}
-
-BatchTrace::~BatchTrace() {
-#ifndef M2G_OBS_DISABLED
-  if (!active_) return;
-  delete root_;  // closes the root span into the trace table
-  SetCurrentContext(prev_);
-  TraceTree tree;
-  tree.trace_id = ctx_.trace_id;
-  tree.tag = "batch";
-  tree.spans = Active().Take(ctx_.trace_id);
-  Trees().Push(std::move(tree));
 #endif
 }
 

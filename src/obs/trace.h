@@ -12,15 +12,9 @@
 
 namespace m2g::obs {
 
-/// One completed span. `stage` points at the literal passed to TraceSpan
-/// (spans must be constructed with string literals / static storage).
-///
-/// Spans come in two flavors depending on the thread's TraceContext at
-/// construction: *flat* spans (`trace_id == 0`) go to the process-wide
-/// recent-spans ring exactly as before request tracing existed (training
-/// spans stay flat), while *traced* spans attach to the owning request's
-/// span tree and surface through RecentTraceTrees() instead. Both flavors
-/// feed their stage histogram identically.
+/// One completed span of a request trace. `stage` points at the literal
+/// passed to TraceSpan (spans must be constructed with string literals /
+/// static storage).
 struct TraceEvent {
   const char* stage = nullptr;
   double start_ms = 0;     // steady-clock offset from process start
@@ -29,30 +23,11 @@ struct TraceEvent {
   uint64_t trace_id = 0;
   uint64_t span_id = 0;
   uint64_t parent_span_id = 0;
-  /// When nonzero this event is a *reference* to a batch-amortized span
-  /// owned by the batch trace (graph build / encode executed once for the
-  /// whole micro-batch): `ref_span_id` names the shared span and
-  /// `duration_ms` carries the shared duration so a member tree is
-  /// self-contained for per-stage accounting.
-  uint64_t ref_span_id = 0;
-  /// Micro-batch size the span's work covered (1 for per-request work).
-  int batch_size = 1;
 };
 
 /// Milliseconds since the process-wide steady-clock origin (the first
 /// obs timestamp taken). Used by the admin endpoint's /healthz.
 double UptimeMs();
-
-/// Resizes the ring of recent flat spans (default 256 events). 0 disables
-/// retention entirely; spans then only feed their histograms.
-void SetTraceRingCapacity(size_t capacity);
-
-/// The retained flat spans, oldest first. A snapshot — safe to call while
-/// spans complete concurrently.
-std::vector<TraceEvent> RecentTraces();
-
-/// Drops all retained flat spans (capacity unchanged).
-void ClearTraces();
 
 /// A finalized request span tree: every span recorded under one trace id,
 /// in completion order. Parent/child edges are encoded in the events
@@ -71,16 +46,17 @@ void ClearTraceTrees();
 
 /// RAII stage timer: measures the enclosed scope and, on destruction,
 /// records the duration into `hist` (typically the registry's latency
-/// histogram for this stage name) and appends a TraceEvent to the flat
-/// ring or — when the thread has an active TraceContext — to the owning
-/// trace's span tree. While open, a traced span installs itself as the
-/// thread's current context so nested spans become its children.
-/// `stage` must have static storage duration.
+/// histogram for this stage name). When the thread has an active
+/// TraceContext the span also joins the owning trace's span tree, and
+/// while open it installs itself as the thread's current context so
+/// nested spans become its children. Untraced spans (training, offline
+/// eval) feed only their histogram. `stage` must have static storage
+/// duration.
 ///
-/// Cost when obs is enabled: two steady_clock reads, one histogram
-/// record, one ring push. When disabled via SetEnabled(false) the
-/// constructor is a single relaxed load; under M2G_OBS_DISABLED the
-/// whole class compiles to nothing.
+/// Cost when obs is enabled: two steady_clock reads and one histogram
+/// record, plus one trace-table append when traced. When disabled via
+/// SetEnabled(false) the constructor is a single relaxed load; under
+/// M2G_OBS_DISABLED the whole class compiles to nothing.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* stage, Histogram* hist = nullptr) {
@@ -101,37 +77,6 @@ class TraceSpan {
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
-  /// Ends the span now instead of at scope exit and returns its duration
-  /// in ms (0 if the span never started). Lets batch code close a shared
-  /// stage span and fan its id + duration out to member traces.
-  double Stop() {
-#ifndef M2G_OBS_DISABLED
-    if (active_) {
-      Finish();
-      return duration_ms_;
-    }
-#endif
-    return 0;
-  }
-
-  /// This span's id within its trace (0 when flat or not started).
-  uint64_t span_id() const {
-#ifndef M2G_OBS_DISABLED
-    return span_id_;
-#else
-    return 0;
-#endif
-  }
-
-  /// Tags the recorded event with the micro-batch size its work covered.
-  void set_batch_size(int batch_size) {
-#ifndef M2G_OBS_DISABLED
-    batch_size_ = batch_size;
-#else
-    (void)batch_size;
-#endif
-  }
-
  private:
   void Start(const char* stage, Histogram* hist);
   void Finish();
@@ -139,31 +84,11 @@ class TraceSpan {
   const char* stage_ = nullptr;
   Histogram* hist_ = nullptr;
   bool active_ = false;
-  int batch_size_ = 1;
   uint64_t trace_id_ = 0;
   uint64_t span_id_ = 0;
   uint64_t parent_span_id_ = 0;
-  double duration_ms_ = 0;
   std::chrono::steady_clock::time_point start_{};
 };
-
-/// Records a span measured externally (start/duration already known) into
-/// `ctx`'s trace as a child of ctx.span_id, also feeding `hist` when
-/// given. Used by the batch leader to attribute each member's queue wait
-/// (submit -> dispatch) measured across threads. No-op when obs is
-/// disabled or `ctx` is inactive.
-void RecordExternalSpan(const TraceContext& ctx, const char* stage,
-                        double start_ms, double duration_ms,
-                        Histogram* hist = nullptr, int batch_size = 1);
-
-/// Records a *reference* to a batch-amortized span into `ctx`'s trace:
-/// the member tree gains a child of ctx.span_id named `stage` whose
-/// duration is the shared span's duration and whose ref_span_id points at
-/// the shared span in the batch trace. Does NOT feed the stage histogram
-/// (the shared span already did, once). No-op when disabled or inactive.
-void RecordSharedSpanRef(const TraceContext& ctx, const char* stage,
-                         uint64_t ref_span_id, double start_ms,
-                         double duration_ms, int batch_size);
 
 /// RAII owner of one request-scoped trace. When obs is enabled and no
 /// trace is already active on this thread, the constructor allocates a
@@ -176,8 +101,8 @@ void RecordSharedSpanRef(const TraceContext& ctx, const char* stage,
 ///
 /// When a trace is already active on the thread the new RequestTrace is
 /// inert (inner Handle calls don't shadow an outer trace). Fields the obs
-/// layer can't know (model version, batch size, level sizes, ...) are
-/// filled by the caller via event() before scope exit.
+/// layer can't know (model version, level sizes, ...) are filled by the
+/// caller via event() before scope exit.
 class RequestTrace {
  public:
   explicit RequestTrace(const char* tag);
@@ -203,32 +128,6 @@ class RequestTrace {
   TraceContext prev_;
   WideEvent event_;
   std::chrono::steady_clock::time_point start_{};
-};
-
-/// RAII owner of the batch-leader trace wrapping one micro-batch
-/// execution: opens a root span `serve.batch.execute.ms` tagged with the
-/// batch size, so the batch-amortized graph/encode spans recorded inside
-/// PredictBatch form a small tree of their own ("batch" tag in the tree
-/// ring) that member traces reference by span id. The leader thread is
-/// usually mid-request itself; the batch trace *suspends* that context
-/// (instead of going inert) and restores it on destruction, so the
-/// leader's own request tree receives shared-span references like every
-/// other member rather than absorbing the shared spans directly.
-class BatchTrace {
- public:
-  explicit BatchTrace(int batch_size);
-  ~BatchTrace();
-
-  BatchTrace(const BatchTrace&) = delete;
-  BatchTrace& operator=(const BatchTrace&) = delete;
-
-  bool active() const { return active_; }
-
- private:
-  bool active_ = false;
-  TraceContext ctx_;
-  TraceContext prev_;
-  TraceSpan* root_ = nullptr;
 };
 
 /// The registry latency histogram spans for `stage` record into; call

@@ -9,13 +9,12 @@ namespace m2g::obs {
 /// while a context is installed attach themselves to `trace_id` with
 /// `span_id` as their parent, so nested TraceSpan scopes form a tree
 /// without any argument plumbing. `trace_id == 0` means "no trace": spans
-/// then record as flat ring events exactly as before request tracing
-/// existed (the training spans stay flat on purpose).
+/// then feed only their stage histograms (the training spans stay
+/// untraced on purpose).
 ///
-/// The context is plain data so it can be captured on one thread (the
-/// submitter parking in the batch queue) and replayed on another (the
-/// batch leader attributing per-sample decode work back to the member
-/// request that owns it).
+/// The context is plain data so it can be captured on one thread and
+/// replayed on another (TraceContextScope) when a request hands work to
+/// a helper thread.
 struct TraceContext {
   uint64_t trace_id = 0;
   /// Innermost open span; 0 at the root, so the first span opened under a
@@ -38,8 +37,8 @@ void ResetTraceIds(uint64_t next = 1);
 TraceContext CurrentTraceContext();
 
 /// RAII: installs `ctx` as this thread's current context and restores the
-/// previous one on destruction. Used by the batch leader to switch into a
-/// member's trace around that member's decode/ETA tail.
+/// previous one on destruction, so work run on a helper thread attributes
+/// to the request that owns it.
 class TraceContextScope {
  public:
   explicit TraceContextScope(const TraceContext& ctx);

@@ -96,9 +96,6 @@ std::string WideEventSink::ToJsonLine(const WideEvent& e) {
   field("trace_id", JsonNum(static_cast<double>(e.trace_id)));
   field("tag", "\"" + JsonEscape(e.tag) + "\"");
   field("model_version", JsonNum(static_cast<double>(e.model_version)));
-  field("batch_size", JsonNum(e.batch_size));
-  field("shed", e.shed ? "true" : "false");
-  field("batched", e.batched ? "true" : "false");
   field("delta_encode", e.delta_encode ? "true" : "false");
   field("simd_tier", "\"" + JsonEscape(e.simd_tier) + "\"");
   field("locations", JsonNum(e.num_locations));
@@ -107,7 +104,6 @@ std::string WideEventSink::ToJsonLine(const WideEvent& e) {
   field("route_length", JsonNum(e.route_length));
   field("total_ms", JsonNum(e.total_ms));
   field("feature_extract_ms", JsonNum(e.feature_extract_ms));
-  field("queue_wait_ms", JsonNum(e.queue_wait_ms));
   field("graph_build_ms", JsonNum(e.graph_build_ms));
   field("encode_ms", JsonNum(e.encode_ms));
   field("decode_ms", JsonNum(e.decode_ms));

@@ -22,22 +22,13 @@ struct WideEvent {
   /// arbitrary bytes are safe.
   std::string tag;
   int64_t model_version = 0;
-  /// Size of the micro-batch this request was served in (1 when batching
-  /// is off or the request ran inline).
-  int batch_size = 1;
-  /// True when the batch queue was full and the request was shed to the
-  /// inline single-request path.
-  bool shed = false;
-  /// True when the service routed the request through the batch
-  /// scheduler (even if it ended up in a batch of one).
-  bool batched = false;
   /// True when the request was served through an encode session's delta
   /// path (incremental re-encode) rather than a full graph encode.
   bool delta_encode = false;
   /// SIMD dispatch tier the tensor kernels ran at ("scalar", "sse2",
   /// "avx2"). Filled by the serving layer from simd::ActiveTier() —
   /// obs/ sits below tensor/, so the value arrives as a plain string.
-  /// Constant within a process unless a kill switch flips it, but
+  /// Constant within a process unless simd::SetTier switches it, but
   /// recorded per event so mixed fleets slice latency by tier.
   std::string simd_tier;
   int num_locations = 0;
@@ -46,7 +37,6 @@ struct WideEvent {
   int route_length = 0;
   double total_ms = 0;
   double feature_extract_ms = 0;
-  double queue_wait_ms = 0;
   double graph_build_ms = 0;
   double encode_ms = 0;
   double decode_ms = 0;

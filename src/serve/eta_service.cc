@@ -5,7 +5,7 @@
 
 namespace m2g::serve {
 
-std::vector<EtaService::OrderEta> EtaService::Estimate(
+Result<std::vector<EtaService::OrderEta>> EtaService::Estimate(
     const RtpRequest& request) const {
   static obs::Counter& requests_counter =
       obs::MetricsRegistry::Global().counter("serve.eta.requests");
@@ -20,6 +20,7 @@ std::vector<EtaService::OrderEta> EtaService::Estimate(
   requests_served_.fetch_add(1, std::memory_order_relaxed);
   requests_counter.Increment();
   RtpService::Response response = rtp_->Handle(request);
+  if (!response.status.ok()) return response.status;
   const auto& route = response.prediction.location_route;
   std::vector<int> stops_before(route.size(), 0);
   for (size_t rank = 0; rank < route.size(); ++rank) {
@@ -40,7 +41,9 @@ std::vector<EtaService::OrderEta> EtaService::Estimate(
 
 Result<EtaService::OrderEta> EtaService::EstimateOrder(
     const RtpRequest& request, int order_id) const {
-  for (const OrderEta& eta : Estimate(request)) {
+  Result<std::vector<OrderEta>> etas = Estimate(request);
+  if (!etas.ok()) return etas.status();
+  for (const OrderEta& eta : etas.value()) {
     if (eta.order_id == order_id) return eta;
   }
   return Status::NotFound(

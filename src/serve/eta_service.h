@@ -32,10 +32,12 @@ class EtaService {
     bool notify_user = false; // pre-arrival push fired
   };
 
-  /// Minute-level ETA for every pending order of the request.
-  std::vector<OrderEta> Estimate(const RtpRequest& request) const;
+  /// Minute-level ETA for every pending order of the request, or the
+  /// status of a request the RTP service rejected.
+  Result<std::vector<OrderEta>> Estimate(const RtpRequest& request) const;
 
-  /// ETA for a single order id (NotFound if the order is not pending).
+  /// ETA for a single order id (NotFound if the order is not pending,
+  /// the rejection status if the request is invalid).
   Result<OrderEta> EstimateOrder(const RtpRequest& request,
                                  int order_id) const;
 

@@ -5,8 +5,22 @@
 #include <set>
 
 #include "common/check.h"
+#include "common/string_util.h"
 
 namespace m2g::serve {
+
+Status FeatureExtractor::Validate(const RtpRequest& request) const {
+  if (request.pending.empty()) {
+    return Status::InvalidArgument("request has no pending orders");
+  }
+  for (const synth::Order& o : request.pending) {
+    if (o.aoi_id < 0 || o.aoi_id >= world_->num_aois()) {
+      return Status::InvalidArgument(
+          StrFormat("order %d has unknown AOI id %d", o.id, o.aoi_id));
+    }
+  }
+  return Status::Ok();
+}
 
 synth::Sample FeatureExtractor::BuildSample(const RtpRequest& request) const {
   synth::Sample s;
@@ -19,7 +33,7 @@ void FeatureExtractor::BuildSample(const RtpRequest& request,
   M2G_CHECK(!request.pending.empty());
   synth::Sample& s = *out;
   // Reset by clearing each vector rather than assigning a fresh Sample,
-  // so a reused `out` (a warm batch slot) keeps its vector capacity.
+  // so a reused `out` keeps its vector capacity.
   s.day = 0;
   s.locations.clear();
   s.aoi_node_ids.clear();

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "common/status.h"
 #include "synth/dataset.h"
 
 namespace m2g::serve {
@@ -26,12 +27,19 @@ class FeatureExtractor {
  public:
   explicit FeatureExtractor(const synth::World* world) : world_(world) {}
 
+  /// Rejects requests BuildSample cannot resolve: an empty order list,
+  /// or an order whose AOI id the world does not know. Requests come
+  /// from outside the process, so a bad one yields an InvalidArgument
+  /// status rather than a CHECK failure.
+  Status Validate(const RtpRequest& request) const;
+
+  /// Requires Validate(request).ok().
   synth::Sample BuildSample(const RtpRequest& request) const;
 
   /// In-place variant for the serving hot path: builds straight into
   /// `*out` (clearing any previous contents), so the sample's vectors are
-  /// constructed in their final home — the response or a batch slot —
-  /// and never copied. `out` must not alias `request`.
+  /// constructed in their final home — the response — and never copied.
+  /// `out` must not alias `request`. Requires Validate(request).ok().
   void BuildSample(const RtpRequest& request, synth::Sample* out) const;
 
  private:

@@ -47,7 +47,7 @@ int64_t ModelRegistry::Publish(std::shared_ptr<const core::M2g4Rtp> model) {
   auto snapshot = std::make_shared<const ModelSnapshot>(
       ModelSnapshot{std::move(model), version});
   // The one swap point: readers that loaded the old snapshot keep it
-  // alive through their shared_ptr; new batches see the new one.
+  // alive through their shared_ptr; new requests see the new one.
   snapshot_.store(std::move(snapshot), std::memory_order_release);
   VersionGauge().Set(static_cast<double>(version));
   SwapCounter().Increment();

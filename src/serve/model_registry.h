@@ -14,9 +14,9 @@ namespace m2g::serve {
 
 /// One immutable published model: the weights plus the version that
 /// produced them. Snapshots are handed out by shared_ptr, so a snapshot
-/// read by an in-flight batch stays alive — weights readable, version tag
-/// stable — until the last batch that started on it finishes, no matter
-/// how many swaps happen meanwhile.
+/// read by an in-flight request stays alive — weights readable, version
+/// tag stable — until the last request that started on it finishes, no
+/// matter how many swaps happen meanwhile.
 struct ModelSnapshot {
   std::shared_ptr<const core::M2g4Rtp> model;
   int64_t version = 0;
@@ -24,12 +24,12 @@ struct ModelSnapshot {
 
 /// Double-buffered model registry: the serving side of weights hot-swap.
 /// Readers (`Current()`) do one lock-free atomic shared_ptr load per
-/// micro-batch, so every request of a batch is served — and its response
-/// version-tagged — by the same weights. Writers (`Publish*`) build the
-/// replacement off the serving threads, then swap the buffer pointer in
-/// one atomic store; the displaced snapshot drains by refcount as its
-/// last in-flight batches retire. No serving thread ever blocks on a
-/// swap, and no request is ever dropped or served by a half-loaded model.
+/// request, so each request is served — and its response version-tagged
+/// — by one set of weights. Writers (`Publish*`) build the replacement
+/// off the serving threads, then swap the buffer pointer in one atomic
+/// store; the displaced snapshot drains by refcount as its last
+/// in-flight requests retire. No serving thread ever blocks on a swap,
+/// and no request is ever dropped or served by a half-loaded model.
 ///
 /// Observability: `model.version` gauge tracks the live version;
 /// `serve.swaps` counts completed publishes.

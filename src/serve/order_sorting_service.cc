@@ -2,9 +2,10 @@
 
 namespace m2g::serve {
 
-std::vector<OrderSortingService::SortedOrder> OrderSortingService::Sort(
-    const RtpRequest& request) const {
+Result<std::vector<OrderSortingService::SortedOrder>>
+OrderSortingService::Sort(const RtpRequest& request) const {
   RtpService::Response response = rtp_->Handle(request);
+  if (!response.status.ok()) return response.status;
   std::vector<SortedOrder> out;
   out.reserve(response.prediction.location_route.size());
   for (size_t rank = 0; rank < response.prediction.location_route.size();

@@ -18,8 +18,9 @@ class OrderSortingService {
     double eta_minutes = 0;   // predicted arrival gap
   };
 
-  /// Orders in predicted visit sequence.
-  std::vector<SortedOrder> Sort(const RtpRequest& request) const;
+  /// Orders in predicted visit sequence, or the status of a request the
+  /// RTP service rejected.
+  Result<std::vector<SortedOrder>> Sort(const RtpRequest& request) const;
 
  private:
   const RtpService* rtp_;

@@ -60,6 +60,9 @@ ConcurrentReplayResult ReplayConcurrently(
     result.responses[i] = service.Handle(requests[i]);
   });
   result.wall_seconds = watch.ElapsedSeconds();
+  for (const RtpService::Response& response : result.responses) {
+    if (!response.status.ok()) ++result.rejected;
+  }
   result.requests_per_second =
       result.wall_seconds > 0
           ? static_cast<double>(requests.size()) / result.wall_seconds

@@ -25,8 +25,11 @@ int NodeIndexOfOrder(const synth::Sample& sample, int order_id);
 
 /// Result of a multi-threaded replay run: responses are indexed exactly
 /// like the input requests regardless of which worker served them.
+/// Rejected requests keep their slot (with a non-OK status and no
+/// prediction) and are counted in `rejected`.
 struct ConcurrentReplayResult {
   std::vector<RtpService::Response> responses;
+  int64_t rejected = 0;
   double wall_seconds = 0;
   double requests_per_second = 0;
 };

@@ -1,49 +1,61 @@
 #include "serve/rtp_service.h"
 
-#include <utility>
+#include <mutex>
 
 #include "obs/trace.h"
 #include "tensor/grad_mode.h"
 #include "tensor/simd.h"
 
 namespace m2g::serve {
+namespace {
+
+std::unique_ptr<EncodeSessionStore> MakeSessions(
+    const ServingConfig& config) {
+  if (!config.encode_sessions.enabled) return nullptr;
+  return std::make_unique<EncodeSessionStore>(
+      config.encode_sessions.byte_budget);
+}
+
+}  // namespace
 
 RtpService::RtpService(const synth::World* world,
                        const core::M2g4Rtp* model,
                        const ServingConfig& config)
-    : extractor_(world), model_(model) {
-  if (config.batching_enabled) {
-    scheduler_ =
-        std::make_unique<BatchScheduler>(nullptr, model, config.batch);
-  }
-  if (config.encode_sessions.enabled) {
-    sessions_ = std::make_unique<EncodeSessionStore>(
-        config.encode_sessions.byte_budget);
-  }
+    : extractor_(world), sessions_(MakeSessions(config)) {
+  M2G_CHECK(model != nullptr);
+  // Non-owning: the caller keeps the model alive for the service's life.
+  fixed_ = std::make_shared<const ModelSnapshot>(ModelSnapshot{
+      std::shared_ptr<const core::M2g4Rtp>(model,
+                                           [](const core::M2g4Rtp*) {}),
+      /*version=*/0});
 }
 
 RtpService::RtpService(const synth::World* world,
                        const ModelRegistry* registry,
                        const ServingConfig& config)
-    : extractor_(world), registry_(registry) {
+    : extractor_(world), registry_(registry),
+      sessions_(MakeSessions(config)) {
   M2G_CHECK(registry != nullptr);
-  if (config.batching_enabled) {
-    scheduler_ =
-        std::make_unique<BatchScheduler>(registry, nullptr, config.batch);
-  }
-  if (config.encode_sessions.enabled) {
-    sessions_ = std::make_unique<EncodeSessionStore>(
-        config.encode_sessions.byte_budget);
-  }
 }
 
 RtpService::Response RtpService::Handle(const RtpRequest& request) const {
   static obs::Counter& requests_counter =
       obs::MetricsRegistry::Global().counter("serve.rtp.requests");
+  static obs::Counter& rejected_counter =
+      obs::MetricsRegistry::Global().counter("serve.rejected");
   static obs::Histogram& request_hist =
       obs::StageHistogram("serve.request.ms");
   static obs::Histogram& extract_hist =
       obs::StageHistogram("serve.stage.feature_extract.ms");
+
+  Response response;
+  // Untrusted input is checked before any work: a bad request costs one
+  // response, never the process.
+  response.status = extractor_.Validate(request);
+  if (!response.status.ok()) {
+    rejected_counter.Increment();
+    return response;
+  }
 
   // Serving never backpropagates: skip all graph construction.
   NoGradGuard no_grad;
@@ -55,27 +67,27 @@ RtpService::Response RtpService::Handle(const RtpRequest& request) const {
   const TensorPool::ArenaCounters pool_before =
       trace.active() ? pool_counters() : TensorPool::ArenaCounters{};
   obs::TraceSpan request_span("serve.request.ms", &request_hist);
-  Response response;
   obs::WideEvent& event = trace.event();
-  event.batched = sessions_ == nullptr && scheduler_ != nullptr;
   event.simd_tier = simd::TierName(simd::ActiveTier());
-  if (sessions_ != nullptr) {
-    // Encode-session path: delta-eligible requests bypass the batch
-    // encode and run inline against their courier's cached state. The
-    // session mutex serializes concurrent Handle() calls for the same
-    // courier; distinct couriers proceed in parallel.
-    ArenaGuard arena;
-    {
-      obs::TraceSpan span("serve.stage.feature_extract.ms", &extract_hist);
-      extractor_.BuildSample(request, &response.sample);
-    }
-    const core::M2g4Rtp* model = model_;
-    std::shared_ptr<const ModelSnapshot> snapshot;
-    if (registry_ != nullptr) {
-      snapshot = registry_->Current();
-      model = snapshot->model.get();
-      response.model_version = snapshot->version;
-    }
+  // The request-scoped arena recycles every forward-pass buffer through
+  // the thread-local pool — once a serving thread is warm, the
+  // steady-state hot path performs zero heap allocations for tensor
+  // storage.
+  ArenaGuard arena;
+  {
+    obs::TraceSpan span("serve.stage.feature_extract.ms", &extract_hist);
+    extractor_.BuildSample(request, &response.sample);
+  }
+  // One snapshot read per request: a concurrent Publish lands between
+  // requests, and the response is tagged with the weights that served it.
+  const std::shared_ptr<const ModelSnapshot> snapshot = CurrentSnapshot();
+  const core::M2g4Rtp& model = *snapshot->model;
+  response.model_version = snapshot->version;
+  if (sessions_ == nullptr) {
+    response.prediction = model.Predict(response.sample);
+  } else {
+    // The session mutex serializes concurrent Handle() calls for the
+    // same courier; distinct couriers proceed in parallel.
     const int courier_id = request.courier.id;
     std::shared_ptr<EncodeSession> session = sessions_->Acquire(courier_id);
     size_t session_bytes = 0;
@@ -88,46 +100,12 @@ RtpService::Response RtpService::Handle(const RtpRequest& request) const {
         session->model_version = response.model_version;
       }
       core::IncrementalResult incremental;
-      response.prediction =
-          model->PredictIncremental(response.sample, &session->state,
-                                    &incremental);
+      response.prediction = model.PredictIncremental(
+          response.sample, &session->state, &incremental);
       event.delta_encode = incremental.delta;
       session_bytes = session->state.bytes();
     }
     sessions_->Release(courier_id, session_bytes);
-  } else if (scheduler_ != nullptr) {
-    // Batching path: extract here, predict wherever the scheduler
-    // coalesces us. The sample rides through the batch by move and comes
-    // back with the prediction and the serving snapshot's version.
-    synth::Sample sample;
-    {
-      obs::TraceSpan span("serve.stage.feature_extract.ms", &extract_hist);
-      extractor_.BuildSample(request, &sample);
-    }
-    BatchResult result = scheduler_->Submit(std::move(sample));
-    response.sample = std::move(result.sample);
-    response.prediction = std::move(result.prediction);
-    response.model_version = result.model_version;
-    event.batch_size = result.batch_size;
-    event.shed = result.shed;
-  } else {
-    // Legacy path. The request-scoped arena recycles every forward-pass
-    // buffer through the thread-local pool — once a serving thread is
-    // warm, the steady-state hot path performs zero heap allocations for
-    // tensor storage.
-    ArenaGuard arena;
-    {
-      obs::TraceSpan span("serve.stage.feature_extract.ms", &extract_hist);
-      extractor_.BuildSample(request, &response.sample);
-    }
-    const core::M2g4Rtp* model = model_;
-    std::shared_ptr<const ModelSnapshot> snapshot;
-    if (registry_ != nullptr) {
-      snapshot = registry_->Current();
-      model = snapshot->model.get();
-      response.model_version = snapshot->version;
-    }
-    response.prediction = model->Predict(response.sample);
   }
   requests_served_.fetch_add(1, std::memory_order_relaxed);
   requests_counter.Increment();
@@ -137,25 +115,12 @@ RtpService::Response RtpService::Handle(const RtpRequest& request) const {
     event.num_aois = response.sample.num_aois();
     event.route_length =
         static_cast<int>(response.prediction.location_route.size());
-    event.beam_width = beam_width();
+    event.beam_width = model.config().beam_width;
     const TensorPool::ArenaCounters pool_after = pool_counters();
     event.pool_hit_delta = pool_after.hits - pool_before.hits;
     event.pool_miss_delta = pool_after.misses - pool_before.misses;
   }
   return response;
-}
-
-int RtpService::beam_width() const {
-  if (model_ != nullptr) return model_->config().beam_width;
-  if (registry_ != nullptr) {
-    // Cheap atomic snapshot read; under a mid-request hot swap this may
-    // name the new snapshot's width, which is fine for a log field.
-    const std::shared_ptr<const ModelSnapshot> snapshot = registry_->Current();
-    if (snapshot != nullptr && snapshot->model != nullptr) {
-      return snapshot->model->config().beam_width;
-    }
-  }
-  return 0;
 }
 
 TensorPool::ArenaCounters RtpService::pool_counters() {

@@ -5,8 +5,8 @@
 #include <cstdint>
 #include <memory>
 
+#include "common/status.h"
 #include "core/model.h"
-#include "serve/batch_scheduler.h"
 #include "serve/encode_session.h"
 #include "serve/feature_extractor.h"
 #include "serve/graph_builder.h"
@@ -16,8 +16,8 @@
 namespace m2g::serve {
 
 /// Per-courier incremental-encode sessions (core/incremental_encode):
-/// off by default, like batching — an opt-in serving optimization whose
-/// responses are bitwise-identical to the stateless path.
+/// off by default — an opt-in serving optimization whose responses are
+/// bitwise-identical to the stateless path.
 struct EncodeSessionsConfig {
   bool enabled = false;
   /// LRU byte budget across all cached sessions (tensor payloads). The
@@ -25,16 +25,8 @@ struct EncodeSessionsConfig {
   size_t byte_budget = 256u << 20;
 };
 
-/// Serving-layer switches. Batching defaults off: the legacy
-/// one-thread-one-request path stays the default until a deployment
-/// opts in, making the batching refactor a pure restructuring under flag.
-/// Encode sessions take precedence over batching: a session-routed
-/// request is delta-eligible and bypasses the batch encode entirely
-/// (micro-batching amortizes full encodes; a delta step is cheaper than
-/// a batched slot and must run against its courier's cached state).
+/// Serving-layer switches.
 struct ServingConfig {
-  bool batching_enabled = false;
-  BatchConfig batch;
   EncodeSessionsConfig encode_sessions;
 };
 
@@ -44,34 +36,36 @@ struct ServingConfig {
 /// whose snapshots hot-swap under load.
 ///
 /// Handle() is safe to call from many threads at once: it runs under
-/// NoGradGuard (no shared autograd state is touched), the batch
-/// scheduler's queue is internally synchronized, and the only other
-/// mutable service state is the atomic request counter.
-///
-/// With `batching_enabled`, concurrent Handle() calls coalesce into
-/// micro-batches (BatchScheduler) whose responses are bitwise-identical
-/// to the unbatched path, per request.
+/// NoGradGuard (no shared autograd state is touched), the session store
+/// is internally synchronized, and the only other mutable service state
+/// is the atomic request counter. Throughput scales by calling Handle()
+/// from more threads, one request per thread.
 class RtpService {
  public:
-  /// Fixed-model service, legacy path only. `model` must outlive the
-  /// service; it is typically loaded from a weights file produced by
+  /// Fixed-model service without encode sessions. `model` must outlive
+  /// the service; it is typically loaded from a weights file produced by
   /// offline training. Responses carry model_version 0.
   RtpService(const synth::World* world, const core::M2g4Rtp* model)
       : RtpService(world, model, ServingConfig()) {}
 
-  /// Fixed-model service with serving switches.
+  /// Fixed-model service with serving switches: a one-snapshot model
+  /// source at version 0.
   RtpService(const synth::World* world, const core::M2g4Rtp* model,
              const ServingConfig& config);
 
-  /// Registry-backed service: every request (or micro-batch) reads the
-  /// registry's current snapshot, so published models go live between
-  /// batches with zero downtime. Responses carry the snapshot's version.
+  /// Registry-backed service: every request reads the registry's current
+  /// snapshot, so published models go live between requests with zero
+  /// downtime. Responses carry the snapshot's version.
   RtpService(const synth::World* world, const ModelRegistry* registry,
              const ServingConfig& config);
 
   /// Joint prediction plus the sample the features resolved to (callers
   /// need the node ordering to map route indices back to order ids).
   struct Response {
+    /// OK, or why the request was rejected before any work ran (no
+    /// pending orders, an unknown AOI id). A rejected response carries
+    /// an empty sample and prediction; check before indexing them.
+    Status status;
     synth::Sample sample;
     core::RtpPrediction prediction;
     /// Version of the model snapshot that served this request (0 when
@@ -79,17 +73,15 @@ class RtpService {
     int64_t model_version = 0;
   };
 
+  /// Validates the request, then runs one pipeline: extract features,
+  /// resolve the serving snapshot, predict (through the courier's encode
+  /// session when sessions are enabled). A rejected request bumps the
+  /// serve.rejected counter and leaves the service serving.
   Response Handle(const RtpRequest& request) const;
 
-  /// Number of requests served (monitoring counter).
+  /// Number of requests served (monitoring counter; rejections excluded).
   int64_t requests_served() const {
     return requests_served_.load(std::memory_order_relaxed);
-  }
-
-  /// Submissions the batcher shed to inline execution (0 when batching
-  /// is disabled).
-  uint64_t batch_sheds() const {
-    return scheduler_ != nullptr ? scheduler_->sheds() : 0;
   }
 
   /// The encode-session store (nullptr when sessions are disabled).
@@ -102,13 +94,15 @@ class RtpService {
   static TensorPool::ArenaCounters pool_counters();
 
  private:
-  /// Serving beam width for the wide event (0 if no model is resolvable).
-  int beam_width() const;
+  /// The snapshot that serves the next request: the registry's current
+  /// one, or the fixed model's version-0 snapshot.
+  std::shared_ptr<const ModelSnapshot> CurrentSnapshot() const {
+    return registry_ != nullptr ? registry_->Current() : fixed_;
+  }
 
   FeatureExtractor extractor_;
-  const core::M2g4Rtp* model_ = nullptr;
+  std::shared_ptr<const ModelSnapshot> fixed_;
   const ModelRegistry* registry_ = nullptr;
-  std::unique_ptr<BatchScheduler> scheduler_;
   std::unique_ptr<EncodeSessionStore> sessions_;
   mutable std::atomic<int64_t> requests_served_{0};
 };

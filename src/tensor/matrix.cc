@@ -280,13 +280,6 @@ void MatMulInto(const float* a, int n, int k, const float* b, int m,
   }
 }
 
-void MatMulManyInto(const MatMulManySlice* slices, int count, int k,
-                    const float* b, int m) {
-  for (int s = 0; s < count; ++s) {
-    MatMulInto(slices[s].a, slices[s].n, k, b, m, slices[s].out);
-  }
-}
-
 void GatLogitsRow(const float* s_dst, const float* s_edge_row, float s_src_i,
                   float slope, int n, float* logits) {
   // (s_dst[j] + s_e[ij]) first, then + s_src[i]: the Add node ran

@@ -206,25 +206,6 @@ void PointerScoresMasked(const Matrix& keys, const float* q, const float* v,
 void MatMulInto(const float* a, int n, int k, const float* b, int m,
                 float* out);
 
-/// One (a, out) pair of a batched MatMulInto: `a` is (n, k) row-major,
-/// `out` is (n, m) row-major and fully overwritten. `k` and `m` are
-/// shared by every slice of one MatMulManyInto call (they describe the
-/// common rhs), so only the per-request operands live here.
-struct MatMulManySlice {
-  const float* a = nullptr;
-  int n = 0;
-  float* out = nullptr;
-};
-
-/// Batched MatMulInto against one shared rhs `b` (k, m): every slice is
-/// computed exactly as MatMulInto(slice.a, slice.n, k, b, m, slice.out)
-/// — bitwise-identical, same per-row accumulation order — but the slices
-/// run back-to-back, so `b` is streamed once per batch instead of once
-/// per request. This is the weight-stream amortization primitive behind
-/// GatELayer::ForwardFastBatch (serving request batching).
-void MatMulManyInto(const MatMulManySlice* slices, int count, int k,
-                    const float* b, int m);
-
 /// Fused GAT-e attention logits for one node row (Eq. 20 decomposed):
 ///   logits[j] = LeakyRelu((s_dst[j] + s_edge_row[j]) + s_src_i)
 /// with the association order of the Add -> AddScalarTensor -> LeakyRelu

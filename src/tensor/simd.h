@@ -34,8 +34,7 @@ namespace m2g::simd {
 //   * M2G_SIMD environment variable, read once at first kernel use:
 //     "off"/"scalar", "sse2", "avx2", or "auto" (the default). Requests
 //     above the detected tier clamp down with a warning.
-//   * SetTier() — used by core::ModelConfig::simd_kernels (the config
-//     kill switch) and by tests/benches to force a tier at runtime.
+//   * SetTier() — used by tests and benches to force a tier at runtime.
 // The active tier is exported as the tensor.simd_tier gauge (detected
 // tier as tensor.simd_tier_detected, SetTier calls as the
 // tensor.simd.tier_sets counter) and surfaces in /healthz and wide

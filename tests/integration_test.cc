@@ -86,10 +86,13 @@ TEST(IntegrationTest, FullPipelineFromSimulationToServing) {
     request.pending.push_back(o);
   }
 
-  auto sorted = sorting.Sort(request);
+  auto sorted_result = sorting.Sort(request);
+  ASSERT_TRUE(sorted_result.ok());
+  const auto& sorted = sorted_result.value();
   ASSERT_EQ(static_cast<int>(sorted.size()), s.num_locations());
   auto etas = eta.Estimate(request);
-  ASSERT_EQ(etas.size(), sorted.size());
+  ASSERT_TRUE(etas.ok());
+  ASSERT_EQ(etas.value().size(), sorted.size());
 
   // The serving path must agree with direct offline inference of the
   // same weights.

@@ -185,37 +185,6 @@ TEST(RowKernelTest, MatMulRawAgreesWithRowPrimitive) {
   }
 }
 
-TEST(RowKernelTest, MatMulManyIntoMatchesPerSliceMatMulBitwise) {
-  Rng rng(45);
-  // Mixed slice heights (including a 1-row slice) against one shared
-  // weight, as the batched GAT-e fast path issues them.
-  const int k = 9, m = 6;
-  const Matrix b = Matrix::Random(k, m, -1, 1, &rng);
-  const std::vector<int> heights = {4, 1, 7, 3};
-  std::vector<Matrix> inputs;
-  for (int n : heights) inputs.push_back(Matrix::Random(n, k, -1, 1, &rng));
-
-  std::vector<Matrix> got, want;
-  for (int n : heights) {
-    got.push_back(Matrix::Uninit(n, m));
-    want.push_back(Matrix::Uninit(n, m));
-  }
-  std::vector<MatMulManySlice> slices;
-  for (size_t s = 0; s < inputs.size(); ++s) {
-    slices.push_back({inputs[s].data(), heights[s], got[s].data()});
-  }
-  MatMulManyInto(slices.data(), static_cast<int>(slices.size()), k,
-                 b.data(), m);
-  for (size_t s = 0; s < inputs.size(); ++s) {
-    MatMulInto(inputs[s].data(), heights[s], k, b.data(), m,
-               want[s].data());
-    EXPECT_EQ(std::memcmp(got[s].data(), want[s].data(),
-                          got[s].size() * sizeof(float)),
-              0)
-        << "slice " << s;
-  }
-}
-
 TEST(RowKernelTest, PointerScoreRowMatchesComposedOps) {
   Rng rng(44);
   const int d = 48;

@@ -329,9 +329,13 @@ TEST(ExportTest, WriteMetricsFilePicksFormatBySuffix) {
   EXPECT_NE(prom.find("# TYPE"), std::string::npos);
 }
 
-TEST(TraceTest, SpanFeedsHistogramAndRing) {
+TEST(TraceTest, UntracedSpanFeedsItsStageHistogram) {
+  // Outside a request trace (training, offline eval) a span still
+  // records its duration into the stage histogram, and joins no tree.
   M2G_SKIP_IF_OBS_DISABLED();
-  SetTraceRingCapacity(16);
+  SetEnabled(true);
+  ClearTraceTrees();
+  ASSERT_FALSE(CurrentTraceContext().active());
   Histogram h(DefaultLatencyBucketsMs());
   {
     TraceSpan span("obs_test.stage", &h);
@@ -339,49 +343,11 @@ TEST(TraceTest, SpanFeedsHistogramAndRing) {
   const HistogramSnapshot s = h.Snapshot();
   EXPECT_EQ(s.count, 1u);
   EXPECT_GE(s.max, 0.0);
-  const std::vector<TraceEvent> traces = RecentTraces();
-  ASSERT_EQ(traces.size(), 1u);
-  EXPECT_STREQ(traces[0].stage, "obs_test.stage");
-  EXPECT_GE(traces[0].duration_ms, 0.0);
-  EXPECT_GE(traces[0].start_ms, 0.0);
-  SetTraceRingCapacity(256);
-}
-
-TEST(TraceTest, RingWrapsKeepingNewestOldestFirst) {
-  M2G_SKIP_IF_OBS_DISABLED();
-  SetTraceRingCapacity(4);
-  Histogram h(DefaultLatencyBucketsMs());
-  static const char* const kStages[] = {
-      "obs_test.s0", "obs_test.s1", "obs_test.s2", "obs_test.s3",
-      "obs_test.s4", "obs_test.s5", "obs_test.s6"};
-  for (const char* stage : kStages) {
-    TraceSpan span(stage, &h);
-  }
-  const std::vector<TraceEvent> traces = RecentTraces();
-  ASSERT_EQ(traces.size(), 4u);
-  EXPECT_STREQ(traces[0].stage, "obs_test.s3");
-  EXPECT_STREQ(traces[3].stage, "obs_test.s6");
-  // Oldest-first: start offsets never decrease.
-  for (size_t i = 1; i < traces.size(); ++i) {
-    EXPECT_GE(traces[i].start_ms, traces[i - 1].start_ms);
-  }
-  SetTraceRingCapacity(256);
-}
-
-TEST(TraceTest, ZeroCapacityDisablesRetention) {
-  M2G_SKIP_IF_OBS_DISABLED();
-  SetTraceRingCapacity(0);
-  {
-    TraceSpan span("obs_test.dropped");
-  }
-  EXPECT_TRUE(RecentTraces().empty());
-  SetTraceRingCapacity(256);
+  EXPECT_TRUE(RecentTraceTrees().empty());
 }
 
 TEST(TraceTest, ConcurrentSpansAreExactlyCounted) {
   M2G_SKIP_IF_OBS_DISABLED();
-  SetTraceRingCapacity(256);
-  ClearTraces();
   Histogram h(DefaultLatencyBucketsMs());
   constexpr int kThreads = 8;
   constexpr int kPerThread = 50;
@@ -396,8 +362,6 @@ TEST(TraceTest, ConcurrentSpansAreExactlyCounted) {
   for (std::thread& w : workers) w.join();
   EXPECT_EQ(h.Snapshot().count,
             static_cast<uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(RecentTraces().size(), 256u);
-  ClearTraces();
 }
 
 TEST(EnabledTest, DisabledCountersAndSpansAreNoOps) {
@@ -407,12 +371,10 @@ TEST(EnabledTest, DisabledCountersAndSpansAreNoOps) {
   c.Increment();
   EXPECT_EQ(c.Value(), 0u);
   Histogram h(DefaultLatencyBucketsMs());
-  ClearTraces();
   {
     TraceSpan span("obs_test.disabled", &h);
   }
   EXPECT_EQ(h.Snapshot().count, 0u);
-  EXPECT_TRUE(RecentTraces().empty());
   // Direct Record stays live: it is a measurement helper, not an event.
   h.Record(1.0);
   EXPECT_EQ(h.Snapshot().count, 1u);
@@ -473,7 +435,6 @@ TEST(RequestTraceTest, BuildsTreeAccumulatesStagesAndEmitsWideEvent) {
     ASSERT_TRUE(trace.active());
     EXPECT_EQ(trace.trace_id(), 1u);
     trace.event().model_version = 7;
-    trace.event().batch_size = 3;
     TraceSpan request("serve.request.ms");
     { TraceSpan encode("serve.stage.encode.ms"); }
     { TraceSpan decode("serve.stage.route_decode.ms"); }
@@ -508,7 +469,6 @@ TEST(RequestTraceTest, BuildsTreeAccumulatesStagesAndEmitsWideEvent) {
   EXPECT_EQ(event.trace_id, 1u);
   EXPECT_EQ(event.tag, "obs_test");
   EXPECT_EQ(event.model_version, 7);
-  EXPECT_EQ(event.batch_size, 3);
   // The per-stage sums come from the tree, so tree and wide event agree
   // by construction, and they fit inside the request's wall time.
   EXPECT_DOUBLE_EQ(event.encode_ms, encode.duration_ms);
@@ -559,69 +519,36 @@ TEST(RequestTraceTest, DisabledTraceIsInert) {
   SetEnabled(true);
 }
 
-TEST(RequestTraceTest, ExternalAndSharedSpansAttachCrossThread) {
+TEST(RequestTraceTest, HelperThreadSpansAttachThroughCapturedContext) {
   M2G_SKIP_IF_OBS_DISABLED();
   SetEnabled(true);
   ClearTraceTrees();
   WideEventSink::Global().Configure(WideEventOptions{});
   ResetTraceIds(1);
-  Histogram wait_hist(DefaultLatencyBucketsMs());
   {
-    RequestTrace trace("member");
+    RequestTrace trace("owner");
     const TraceContext ctx = trace.context();
     ASSERT_TRUE(ctx.active());
-    // Another thread (the batch leader) attributes queue wait and the
-    // shared encode span back to this member via its captured context.
-    std::thread leader([&ctx, &wait_hist] {
-      RecordExternalSpan(ctx, "serve.batch.queue_wait.ms", 1.0, 2.5,
-                         &wait_hist, 4);
-      RecordSharedSpanRef(ctx, "serve.stage.encode.ms", 777, 3.0, 1.5, 4);
+    // A helper thread installs the captured context, so its span lands
+    // in the owning request's tree and wide event.
+    std::thread helper([&ctx] {
+      TraceContextScope scope(ctx);
+      TraceSpan span("serve.stage.encode.ms");
     });
-    leader.join();
+    helper.join();
   }
-  // The external span fed its histogram; the shared *reference* did not
-  // (the shared span itself recorded the stage once for the batch).
-  EXPECT_EQ(wait_hist.Snapshot().count, 1u);
   const std::vector<TraceTree> trees = RecentTraceTrees();
   ASSERT_EQ(trees.size(), 1u);
-  ASSERT_EQ(trees[0].spans.size(), 2u);
-  const TraceEvent& wait = trees[0].spans[0];
-  const TraceEvent& shared = trees[0].spans[1];
-  EXPECT_STREQ(wait.stage, "serve.batch.queue_wait.ms");
-  EXPECT_EQ(wait.ref_span_id, 0u);
-  EXPECT_EQ(wait.batch_size, 4);
-  EXPECT_DOUBLE_EQ(wait.duration_ms, 2.5);
-  EXPECT_STREQ(shared.stage, "serve.stage.encode.ms");
-  EXPECT_EQ(shared.ref_span_id, 777u);
-  EXPECT_DOUBLE_EQ(shared.duration_ms, 1.5);
-  // Both landed in the wide event's per-stage sums.
+  ASSERT_EQ(trees[0].spans.size(), 1u);
+  const TraceEvent& span = trees[0].spans[0];
+  EXPECT_STREQ(span.stage, "serve.stage.encode.ms");
+  EXPECT_EQ(span.trace_id, trees[0].trace_id);
+  EXPECT_EQ(span.parent_span_id, 0u);
   const std::vector<WideEvent> events = WideEventSink::Global().Recent();
   ASSERT_EQ(events.size(), 1u);
-  EXPECT_DOUBLE_EQ(events[0].queue_wait_ms, 2.5);
-  EXPECT_DOUBLE_EQ(events[0].encode_ms, 1.5);
+  EXPECT_DOUBLE_EQ(events[0].encode_ms, span.duration_ms);
   ClearTraceTrees();
   WideEventSink::Global().Clear();
-}
-
-TEST(BatchTraceTest, OpensTaggedRootAndPushesBatchTree) {
-  M2G_SKIP_IF_OBS_DISABLED();
-  SetEnabled(true);
-  ClearTraceTrees();
-  ResetTraceIds(1);
-  {
-    BatchTrace batch(5);
-    ASSERT_TRUE(batch.active());
-    TraceSpan shared("serve.stage.graph_build.ms");
-  }
-  const std::vector<TraceTree> trees = RecentTraceTrees();
-  ASSERT_EQ(trees.size(), 1u);
-  EXPECT_EQ(trees[0].tag, "batch");
-  ASSERT_EQ(trees[0].spans.size(), 2u);
-  EXPECT_STREQ(trees[0].spans[0].stage, "serve.stage.graph_build.ms");
-  EXPECT_STREQ(trees[0].spans[1].stage, "serve.batch.execute.ms");
-  EXPECT_EQ(trees[0].spans[1].batch_size, 5);
-  EXPECT_EQ(trees[0].spans[0].parent_span_id, trees[0].spans[1].span_id);
-  ClearTraceTrees();
 }
 
 TEST(WideEventTest, HeadSamplingKeepsEveryNthTailKeepsSlow) {

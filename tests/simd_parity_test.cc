@@ -235,7 +235,7 @@ TEST_F(SimdParityTest, DualAffineRawAcrossTiers) {
       "DualAffineRaw");
 }
 
-TEST_F(SimdParityTest, MatMulIntoAndManyIntoAcrossTiers) {
+TEST_F(SimdParityTest, MatMulIntoAcrossTiers) {
   Rng rng(7008);
   const int k = 21, m = 18;
   const Matrix b = Matrix::Random(k, m, -1.0f, 1.0f, &rng);
@@ -246,17 +246,16 @@ TEST_F(SimdParityTest, MatMulIntoAndManyIntoAcrossTiers) {
       [&] {
         std::vector<float> o0(a0.rows() * m), o1(a1.rows() * m),
             o2(a2.rows() * m);
-        MatMulManySlice slices[3] = {{a0.data(), a0.rows(), o0.data()},
-                                     {a1.data(), a1.rows(), o1.data()},
-                                     {a2.data(), a2.rows(), o2.data()}};
-        MatMulManyInto(slices, 3, k, b.data(), m);
+        MatMulInto(a0.data(), a0.rows(), k, b.data(), m, o0.data());
+        MatMulInto(a1.data(), a1.rows(), k, b.data(), m, o1.data());
+        MatMulInto(a2.data(), a2.rows(), k, b.data(), m, o2.data());
         std::vector<float> all;
         all.insert(all.end(), o0.begin(), o0.end());
         all.insert(all.end(), o1.begin(), o1.end());
         all.insert(all.end(), o2.begin(), o2.end());
         return all;
       },
-      "MatMulManyInto");
+      "MatMulInto");
 }
 
 TEST_F(SimdParityTest, TransposedMatMulsMatchUnfusedReferenceAcrossTiers) {
@@ -339,7 +338,10 @@ TEST_F(SimdParityTest, TierNamesParseAndClamp) {
   EXPECT_STREQ(simd::TierName(simd::Tier::kAvx2), "avx2");
 }
 
-TEST_F(SimdParityTest, ModelConfigKillSwitchForcesScalarTier) {
+TEST_F(SimdParityTest, SetTierForcesScalarAndModelsLeaveDispatchAlone) {
+  // The tier is process-global and set only through SetTier (or the
+  // M2G_SIMD environment variable): building a model must not move it.
+  simd::SetTier(simd::DetectedTier());
   core::ModelConfig config;
   config.hidden_dim = 16;
   config.num_heads = 2;
@@ -349,8 +351,9 @@ TEST_F(SimdParityTest, ModelConfigKillSwitchForcesScalarTier) {
   config.lstm_hidden_dim = 16;
   config.courier_dim = 8;
   config.pos_enc_dim = 4;
-  config.simd_kernels = false;
   core::M2g4Rtp model(config);
+  EXPECT_EQ(simd::ActiveTier(), simd::DetectedTier());
+  simd::SetTier(simd::Tier::kScalar);
   EXPECT_EQ(simd::ActiveTier(), simd::Tier::kScalar);
 }
 
