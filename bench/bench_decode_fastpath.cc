@@ -6,7 +6,11 @@
 // byte-identical routes — the fast path is a pure restructuring, so any
 // divergence is a bug, not noise.
 //
-// --smoke runs few iterations and gates on
+// Timing is bench::MeasureAb: a warm-up, then interleaved legacy/fast
+// rounds; a cell's speedup is the median of the per-round ratios and
+// its IQR is printed next to it.
+//
+// --smoke runs fewer rounds and gates on
 //   * routes identical in every cell,
 //   * >= 2.0x greedy speedup at n = 50,
 //   * >= 1.5x beam-10 speedup at n = 50,
@@ -14,7 +18,8 @@
 // Both modes dump BENCH_decode.json at the CWD (repo root in CI) for the
 // perf-trajectory artifact trail.
 //
-// Scale knob: M2G_BENCH_DECODE_ITERS (default 40 full / 5 smoke).
+// Scale knob: M2G_BENCH_DECODE_ITERS, timed rounds per cell (default 41
+// full / 15 smoke; each round times >= 10 ms of calls of each arm).
 
 #include <cstdio>
 #include <cstdlib>
@@ -24,7 +29,6 @@
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
-#include "common/stopwatch.h"
 #include "core/route_decoder.h"
 #include "tensor/grad_mode.h"
 #include "tensor/pool.h"
@@ -35,35 +39,20 @@ using namespace m2g;
 
 volatile float g_sink = 0;
 
-/// Mean per-call milliseconds: one untimed warm-up call inside a fresh
-/// arena (fills the free lists and the branch predictors), then `iters`
-/// timed calls on the warm pool.
-template <typename F>
-double MeasureMs(F&& fn, int iters) {
-  ArenaGuard arena;
-  fn();
-  Stopwatch watch;
-  for (int i = 0; i < iters; ++i) fn();
-  return watch.ElapsedMillis() / iters;
-}
-
 struct CellResult {
   int n = 0;
   int beam = 0;
-  double legacy_ms = 0;
-  double fast_ms = 0;
+  bench::AbTiming timing;  // A = legacy, B = fast
   bool identical = false;
 
-  double speedup() const {
-    return fast_ms > 0 ? legacy_ms / fast_ms : 0.0;
-  }
+  double speedup() const { return timing.ratio.median; }
 };
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  int iters = smoke ? 5 : 40;
+  int iters = smoke ? 15 : 41;
   if (const char* v = std::getenv("M2G_BENCH_DECODE_ITERS")) {
     const int n = std::atoi(v);
     if (n > 0) iters = n;
@@ -75,10 +64,11 @@ int main(int argc, char** argv) {
   core::AttentionRouteDecoder decoder(node_dim, courier_dim, lstm_hidden,
                                       &rng);
 
-  std::printf("decode fast path vs legacy (%d iters/cell, dims %d/%d/%d)\n",
+  std::printf("decode fast path vs legacy (%d rounds/cell, dims %d/%d/%d; "
+              "medians)\n",
               iters, node_dim, courier_dim, lstm_hidden);
-  std::printf("%6s %6s %12s %12s %9s %10s\n", "n", "beam", "legacy(ms)",
-              "fast(ms)", "speedup", "identical");
+  std::printf("%6s %6s %12s %12s %9s %8s %10s\n", "n", "beam", "legacy(ms)",
+              "fast(ms)", "speedup", "iqr", "identical");
 
   std::vector<CellResult> cells;
   for (int n : {10, 25, 50, 100}) {
@@ -108,10 +98,13 @@ int main(int argc, char** argv) {
       cell.n = n;
       cell.beam = beam;
       cell.identical = fast() == legacy();
-      cell.legacy_ms = MeasureMs(legacy, iters);
-      cell.fast_ms = MeasureMs(fast, iters);
-      std::printf("%6d %6d %12.4f %12.4f %8.2fx %10s\n", n, beam,
-                  cell.legacy_ms, cell.fast_ms, cell.speedup(),
+      {
+        ArenaGuard arena;
+        cell.timing = bench::MeasureAb(legacy, fast, iters);
+      }
+      std::printf("%6d %6d %12.4f %12.4f %8.2fx %7.2fx %10s\n", n, beam,
+                  cell.timing.a_ms.median, cell.timing.b_ms.median,
+                  cell.speedup(), cell.timing.ratio.iqr(),
                   cell.identical ? "yes" : "NO");
       cells.push_back(cell);
     }
@@ -122,9 +115,17 @@ int main(int argc, char** argv) {
     results.Push(bench::JsonValue::Object()
                      .Set("n", bench::JsonValue::Int(c.n))
                      .Set("beam", bench::JsonValue::Int(c.beam))
-                     .Set("legacy_ms", bench::JsonValue::Number(c.legacy_ms))
-                     .Set("fast_ms", bench::JsonValue::Number(c.fast_ms))
+                     .Set("legacy_ms",
+                          bench::JsonValue::Number(c.timing.a_ms.median))
+                     .Set("fast_ms",
+                          bench::JsonValue::Number(c.timing.b_ms.median))
+                     .Set("legacy_min_ms",
+                          bench::JsonValue::Number(c.timing.a_ms.min))
+                     .Set("fast_min_ms",
+                          bench::JsonValue::Number(c.timing.b_ms.min))
                      .Set("speedup", bench::JsonValue::Number(c.speedup()))
+                     .Set("speedup_iqr",
+                          bench::JsonValue::Number(c.timing.ratio.iqr()))
                      .Set("routes_identical",
                           bench::JsonValue::Bool(c.identical)));
   }
@@ -132,7 +133,7 @@ int main(int argc, char** argv) {
       bench::JsonValue::Object()
           .Set("bench", bench::JsonValue::String("decode_fastpath"))
           .Set("mode", bench::JsonValue::String(smoke ? "smoke" : "full"))
-          .Set("iters", bench::JsonValue::Int(iters))
+          .Set("rounds", bench::JsonValue::Int(iters))
           .Set("node_dim", bench::JsonValue::Int(node_dim))
           .Set("results", std::move(results));
   const bool json_ok = bench::WriteBenchJson("BENCH_decode.json", doc);

@@ -9,7 +9,11 @@
 // per-node ETA float bits for end-to-end cells. The fast path is a pure
 // restructuring, so any divergence is a bug, not noise.
 //
-// --smoke runs few iterations and gates on
+// Timing is bench::MeasureAb: a warm-up, then interleaved legacy/fast
+// rounds; a cell's speedup is the median of the per-round ratios and
+// its IQR is printed next to it.
+//
+// --smoke runs fewer rounds and gates on
 //   * outputs identical in every cell,
 //   * >= 2.0x encode-only speedup at n = 50,
 //   * >= 1.5x end-to-end speedup at n = 50, greedy and beam-10 (the
@@ -20,7 +24,8 @@
 // Both modes dump BENCH_encode.json at the CWD (repo root in CI) for the
 // perf-trajectory artifact trail.
 //
-// Scale knob: M2G_BENCH_ENCODE_ITERS (default 30 full / 6 smoke).
+// Scale knob: M2G_BENCH_ENCODE_ITERS, timed rounds per cell (default 31
+// full / 15 smoke; each round times >= 10 ms of calls of each arm).
 
 #include <cstdio>
 #include <cstdlib>
@@ -30,7 +35,6 @@
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
-#include "common/stopwatch.h"
 #include "core/encode_plan.h"
 #include "core/encoder.h"
 #include "core/route_decoder.h"
@@ -45,27 +49,6 @@ namespace {
 using namespace m2g;
 
 volatile float g_sink = 0;
-
-/// Per-call milliseconds: one untimed warm-up call inside a fresh arena
-/// (fills the free lists and the branch predictors), then three timed
-/// rounds on the warm pool, reporting the fastest round's mean. The min
-/// over rounds discards transient load spikes from the shared CI box, so
-/// the A/B ratio is stable at smoke iteration counts.
-template <typename F>
-double MeasureMs(F&& fn, int iters) {
-  ArenaGuard arena;
-  fn();
-  const int rounds = 3;
-  const int per_round = iters / rounds > 0 ? iters / rounds : 1;
-  double best = 0;
-  for (int r = 0; r < rounds; ++r) {
-    Stopwatch watch;
-    for (int i = 0; i < per_round; ++i) fn();
-    const double ms = watch.ElapsedMillis() / per_round;
-    if (r == 0 || ms < best) best = ms;
-  }
-  return best;
-}
 
 /// Random but structurally valid level graph: symmetric adjacency with
 /// self-loops, ids within the embedding vocabularies.
@@ -118,20 +101,17 @@ struct RequestOut {
 struct CellResult {
   int n = 0;
   std::string mode;  // "encode", "e2e_greedy", "e2e_beam10"
-  double legacy_ms = 0;
-  double fast_ms = 0;
+  bench::AbTiming timing;  // A = legacy, B = fast
   bool identical = false;
 
-  double speedup() const {
-    return fast_ms > 0 ? legacy_ms / fast_ms : 0.0;
-  }
+  double speedup() const { return timing.ratio.median; }
 };
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  int iters = smoke ? 6 : 30;
+  int iters = smoke ? 15 : 31;
   if (const char* v = std::getenv("M2G_BENCH_ENCODE_ITERS")) {
     const int n = std::atoi(v);
     if (n > 0) iters = n;
@@ -150,11 +130,11 @@ int main(int argc, char** argv) {
   Tensor global =
       Tensor::Constant(Matrix::Random(1, config.courier_dim, -1, 1, &rng));
 
-  std::printf("encode fast path vs legacy (%d iters/cell, hidden %d, %d "
-              "heads, %d layers)\n",
+  std::printf("encode fast path vs legacy (%d rounds/cell, hidden %d, %d "
+              "heads, %d layers; medians)\n",
               iters, config.hidden_dim, config.num_heads, config.num_layers);
-  std::printf("%6s %12s %12s %12s %9s %10s\n", "n", "mode", "legacy(ms)",
-              "fast(ms)", "speedup", "identical");
+  std::printf("%6s %12s %12s %12s %9s %8s %10s\n", "n", "mode",
+              "legacy(ms)", "fast(ms)", "speedup", "iqr", "identical");
 
   NoGradGuard no_grad;  // serving runs under no-grad in both arms
   std::vector<CellResult> cells;
@@ -201,11 +181,15 @@ int main(int argc, char** argv) {
         ArenaGuard check;
         cell.identical = request(true, beam) == request(false, beam);
       }
-      cell.legacy_ms = MeasureMs([&] { request(false, beam); }, iters);
-      cell.fast_ms = MeasureMs([&] { request(true, beam); }, iters);
-      std::printf("%6d %12s %12.4f %12.4f %8.2fx %10s\n", n, mode.c_str(),
-                  cell.legacy_ms, cell.fast_ms, cell.speedup(),
-                  cell.identical ? "yes" : "NO");
+      {
+        ArenaGuard arena;
+        cell.timing = bench::MeasureAb([&] { request(false, beam); },
+                                       [&] { request(true, beam); }, iters);
+      }
+      std::printf("%6d %12s %12.4f %12.4f %8.2fx %7.2fx %10s\n", n,
+                  mode.c_str(), cell.timing.a_ms.median,
+                  cell.timing.b_ms.median, cell.speedup(),
+                  cell.timing.ratio.iqr(), cell.identical ? "yes" : "NO");
       cells.push_back(cell);
     }
 
@@ -226,9 +210,17 @@ int main(int argc, char** argv) {
     results.Push(bench::JsonValue::Object()
                      .Set("n", bench::JsonValue::Int(c.n))
                      .Set("mode", bench::JsonValue::String(c.mode))
-                     .Set("legacy_ms", bench::JsonValue::Number(c.legacy_ms))
-                     .Set("fast_ms", bench::JsonValue::Number(c.fast_ms))
+                     .Set("legacy_ms",
+                          bench::JsonValue::Number(c.timing.a_ms.median))
+                     .Set("fast_ms",
+                          bench::JsonValue::Number(c.timing.b_ms.median))
+                     .Set("legacy_min_ms",
+                          bench::JsonValue::Number(c.timing.a_ms.min))
+                     .Set("fast_min_ms",
+                          bench::JsonValue::Number(c.timing.b_ms.min))
                      .Set("speedup", bench::JsonValue::Number(c.speedup()))
+                     .Set("speedup_iqr",
+                          bench::JsonValue::Number(c.timing.ratio.iqr()))
                      .Set("outputs_identical",
                           bench::JsonValue::Bool(c.identical)));
   }
@@ -236,7 +228,7 @@ int main(int argc, char** argv) {
       bench::JsonValue::Object()
           .Set("bench", bench::JsonValue::String("encode_fastpath"))
           .Set("mode", bench::JsonValue::String(smoke ? "smoke" : "full"))
-          .Set("iters", bench::JsonValue::Int(iters))
+          .Set("rounds", bench::JsonValue::Int(iters))
           .Set("hidden_dim", bench::JsonValue::Int(config.hidden_dim))
           .Set("num_heads", bench::JsonValue::Int(config.num_heads))
           .Set("num_layers", bench::JsonValue::Int(config.num_layers))

@@ -1,5 +1,5 @@
 // Memory & kernel layer bench (Table V companion row): heap allocations
-// and nanoseconds per op for the transpose-free fused kernels vs the
+// and nanoseconds per op for the fused kernels vs the
 // unfused compositions they replaced, plus the end-to-end serving
 // numbers — allocations per request and QPS with the tensor pool on vs
 // off.
@@ -9,11 +9,12 @@
 // (any pool miss after warmup), if pooling saves fewer than 5x the
 // per-request tensor heap allocations, or if any fused kernel runs
 // slower than the unfused composition it replaced (floor 0.9x for
-// timer noise at smoke iteration counts; M2G_BENCH_KERNEL_MIN_SPEEDUP
-// overrides). The speedup gate exists because a fused kernel that
-// loses to its reference is a regression this bench previously only
-// *reported* — MatMulATB/ABT sat at ~0.5x for two PRs before anything
-// failed.
+// timer noise; M2G_BENCH_KERNEL_MIN_SPEEDUP overrides). Kernel timing
+// is bench::MeasureAb: interleaved fused/unfused rounds, the speedup
+// being the median per-round ratio, printed with its IQR. The speedup
+// gate exists because a fused kernel that loses to its reference is a
+// regression this bench previously only *reported* — MatMulATB/ABT sat
+// at ~0.5x for two PRs before anything failed.
 
 #include <cstdio>
 #include <cstdlib>
@@ -38,15 +39,11 @@ using m2g::ArenaGuard;
 using m2g::Matrix;
 using m2g::Tensor;
 using m2g::TensorPool;
+namespace bench = m2g::bench;
 
 volatile float g_sink = 0.0f;  // defeats dead-code elimination
 
 void Sink(float v) { g_sink = g_sink + v; }
-
-struct OpResult {
-  double ns_per_op = 0;
-  double bufs_per_op = 0;
-};
 
 /// Tensor buffers acquired so far on this thread, warm or cold (inside
 /// an arena every Matrix takes exactly one of these; a warm pool turns
@@ -57,45 +54,48 @@ uint64_t BufferAcquisitions() {
   return s.pool_hits + s.pool_misses + s.unpooled_allocs;
 }
 
-/// Times `fn` over `iters` runs inside a warm arena and reports tensor
-/// buffers per run. Three timed rounds keeping the fastest, as in the
-/// other benches: a single pass at smoke iteration counts spans ~1 ms,
-/// so one scheduler preemption on a shared CI core can inflate a row
-/// by 2-3x and trip the speedup gate on a kernel that is actually fine.
+/// Tensor buffers one warm call of `fn` acquires.
 template <typename Fn>
-OpResult MeasureOp(int iters, Fn&& fn) {
-  ArenaGuard arena;
+double BuffersPerOp(Fn& fn) {
   for (int i = 0; i < 8; ++i) fn();  // warm the free lists
   const uint64_t bufs0 = BufferAcquisitions();
-  OpResult r;
-  for (int round = 0; round < 3; ++round) {
-    m2g::Stopwatch watch;
-    for (int i = 0; i < iters; ++i) fn();
-    const double ns = watch.ElapsedSeconds() * 1e9 / iters;
-    if (round == 0 || ns < r.ns_per_op) r.ns_per_op = ns;
-  }
-  r.bufs_per_op = static_cast<double>(BufferAcquisitions() - bufs0) /
-                  (3.0 * iters);
-  return r;
+  constexpr int kCalls = 16;
+  for (int i = 0; i < kCalls; ++i) fn();
+  return static_cast<double>(BufferAcquisitions() - bufs0) / kCalls;
 }
 
 struct KernelRow {
   std::string name;
-  OpResult fused;
-  OpResult unfused;
+  bench::AbTiming timing;  // A = unfused, B = fused
+  double fused_bufs_per_op = 0;
+  double unfused_bufs_per_op = 0;
+
+  double speedup() const { return timing.ratio.median; }
 };
 
-void PrintRow(std::vector<KernelRow>* rows, const char* name,
-              const OpResult& fused, const OpResult& unfused) {
-  std::printf("  %-22s %9.0f %11.0f %8.2fx %10.1f %12.1f\n", name,
-              fused.ns_per_op, unfused.ns_per_op,
-              unfused.ns_per_op / fused.ns_per_op, fused.bufs_per_op,
-              unfused.bufs_per_op);
-  rows->push_back({name, fused, unfused});
+/// Times the fused kernel against its unfused composition with
+/// bench::MeasureAb inside a warm arena — interleaved rounds, so a
+/// scheduler preemption on a shared CI core lands on both arms of a
+/// round instead of inflating one arm's row — and counts tensor buffers
+/// per call.
+template <typename F, typename U>
+void MeasureRow(std::vector<KernelRow>* rows, const char* name, int rounds,
+                F&& fused, U&& unfused) {
+  ArenaGuard arena;
+  KernelRow row;
+  row.name = name;
+  row.fused_bufs_per_op = BuffersPerOp(fused);
+  row.unfused_bufs_per_op = BuffersPerOp(unfused);
+  row.timing = bench::MeasureAb(unfused, fused, rounds);
+  std::printf("  %-22s %9.0f %11.0f %8.2fx %7.2fx %10.1f %12.1f\n", name,
+              row.timing.b_ms.median * 1e6, row.timing.a_ms.median * 1e6,
+              row.speedup(), row.timing.ratio.iqr(), row.fused_bufs_per_op,
+              row.unfused_bufs_per_op);
+  rows->push_back(std::move(row));
 }
 
 /// Typical decoder-step shapes: n graph nodes, d hidden units.
-std::vector<KernelRow> BenchKernels(int iters) {
+std::vector<KernelRow> BenchKernels(int rounds) {
   const int n = 20, k = 64, m = 64;
   m2g::Rng rng(1);
   const Matrix a = Matrix::Random(k, n, -1, 1, &rng);
@@ -106,55 +106,49 @@ std::vector<KernelRow> BenchKernels(int iters) {
   const Matrix bias = Matrix::Random(1, m, -1, 1, &rng);
 
   std::printf("\nkernels (n=%d, k=%d, m=%d)\n", n, k, m);
-  std::printf("  %-22s %9s %11s %8s %10s %12s\n", "", "fused ns",
-              "unfused ns", "speedup", "fused b/op", "unfused b/op");
+  std::printf("  %-22s %9s %11s %8s %8s %10s %12s\n", "", "fused ns",
+              "unfused ns", "speedup", "iqr", "fused b/op", "unfused b/op");
 
   std::vector<KernelRow> rows;
-  PrintRow(&rows, "MatMulATB",
-           MeasureOp(iters, [&] { Sink(MatMulATB(a, b).At(0, 0)); }),
-           MeasureOp(iters, [&] {
-             Sink(MatMulRaw(TransposeRaw(a), b).At(0, 0));
-           }));
-  PrintRow(&rows, "MatMulABT",
-           MeasureOp(iters, [&] { Sink(MatMulABT(x, bt).At(0, 0)); }),
-           MeasureOp(iters, [&] {
-             Sink(MatMulRaw(x, TransposeRaw(bt)).At(0, 0));
-           }));
-  PrintRow(&rows, "AffineRaw",
-           MeasureOp(iters,
-                     [&] {
-                       Sink(AffineRaw(x, w, &bias, m2g::Activation::kRelu)
-                                .At(0, 0));
-                     }),
-           MeasureOp(iters, [&] {
-             Matrix out = MatMulRaw(x, w);
-             for (int r = 0; r < out.rows(); ++r) {
-               for (int c = 0; c < out.cols(); ++c) {
-                 float v = out.At(r, c) + bias.At(0, c);
-                 out.At(r, c) = v > 0 ? v : 0.0f;
-               }
-             }
-             Sink(out.At(0, 0));
-           }));
+  MeasureRow(
+      &rows, "MatMulATB", rounds, [&] { Sink(MatMulATB(a, b).At(0, 0)); },
+      [&] { Sink(MatMulRaw(TransposeRaw(a), b).At(0, 0)); });
+  MeasureRow(
+      &rows, "MatMulABT", rounds, [&] { Sink(MatMulABT(x, bt).At(0, 0)); },
+      [&] { Sink(MatMulRaw(x, TransposeRaw(bt)).At(0, 0)); });
+  MeasureRow(
+      &rows, "AffineRaw", rounds,
+      [&] {
+        Sink(AffineRaw(x, w, &bias, m2g::Activation::kRelu).At(0, 0));
+      },
+      [&] {
+        Matrix out = MatMulRaw(x, w);
+        for (int r = 0; r < out.rows(); ++r) {
+          for (int c = 0; c < out.cols(); ++c) {
+            float v = out.At(r, c) + bias.At(0, c);
+            out.At(r, c) = v > 0 ? v : 0.0f;
+          }
+        }
+        Sink(out.At(0, 0));
+      });
 
   // Autograd level: one fused node vs the three-node chain, forward +
   // backward (this is the per-layer cost inside training).
   Tensor xp = Tensor::Parameter(x);
   Tensor wp = Tensor::Parameter(w);
   Tensor bp = Tensor::Parameter(bias);
-  PrintRow(&rows, "Affine fwd+bwd",
-           MeasureOp(iters,
-                     [&] {
-                       Tensor y =
-                           Affine(xp, wp, bp, m2g::Activation::kRelu);
-                       Sum(y).Backward();
-                       Sink(y.value().At(0, 0));
-                     }),
-           MeasureOp(iters, [&] {
-             Tensor y = Relu(AddRowBroadcast(MatMul(xp, wp), bp));
-             Sum(y).Backward();
-             Sink(y.value().At(0, 0));
-           }));
+  MeasureRow(
+      &rows, "Affine fwd+bwd", rounds,
+      [&] {
+        Tensor y = Affine(xp, wp, bp, m2g::Activation::kRelu);
+        Sum(y).Backward();
+        Sink(y.value().At(0, 0));
+      },
+      [&] {
+        Tensor y = Relu(AddRowBroadcast(MatMul(xp, wp), bp));
+        Sum(y).Backward();
+        Sink(y.value().At(0, 0));
+      });
   return rows;
 }
 
@@ -199,11 +193,11 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
-  const int kernel_iters = smoke ? 200 : 5000;
+  const int kernel_rounds = smoke ? 15 : 31;
   const int serve_passes = smoke ? 2 : 10;
 
   std::printf("=== Memory & kernel layer (pool + fused ops) ===\n");
-  const std::vector<KernelRow> kernel_rows = BenchKernels(kernel_iters);
+  const std::vector<KernelRow> kernel_rows = BenchKernels(kernel_rounds);
 
   // End-to-end serving: the Figure 7 pipeline on an untrained model
   // (weights do not change the allocation profile).
@@ -251,21 +245,22 @@ int main(int argc, char** argv) {
               100.0 * (pooled.qps - plain.qps) / plain.qps,
               static_cast<unsigned long long>(counters.misses));
 
-  namespace bench = m2g::bench;
   bench::JsonValue kernels_json = bench::JsonValue::Array();
   for (const KernelRow& row : kernel_rows) {
     kernels_json.Push(
         bench::JsonValue::Object()
             .Set("kernel", bench::JsonValue::String(row.name))
-            .Set("fused_ns", bench::JsonValue::Number(row.fused.ns_per_op))
+            .Set("fused_ns",
+                 bench::JsonValue::Number(row.timing.b_ms.median * 1e6))
             .Set("unfused_ns",
-                 bench::JsonValue::Number(row.unfused.ns_per_op))
-            .Set("speedup", bench::JsonValue::Number(
-                                row.unfused.ns_per_op / row.fused.ns_per_op))
+                 bench::JsonValue::Number(row.timing.a_ms.median * 1e6))
+            .Set("speedup", bench::JsonValue::Number(row.speedup()))
+            .Set("speedup_iqr",
+                 bench::JsonValue::Number(row.timing.ratio.iqr()))
             .Set("fused_bufs_per_op",
-                 bench::JsonValue::Number(row.fused.bufs_per_op))
+                 bench::JsonValue::Number(row.fused_bufs_per_op))
             .Set("unfused_bufs_per_op",
-                 bench::JsonValue::Number(row.unfused.bufs_per_op)));
+                 bench::JsonValue::Number(row.unfused_bufs_per_op)));
   }
   const auto serve_json = [](const ServeResult& r) {
     return bench::JsonValue::Object()
@@ -278,7 +273,7 @@ int main(int argc, char** argv) {
       bench::JsonValue::Object()
           .Set("bench", bench::JsonValue::String("memory_kernels"))
           .Set("mode", bench::JsonValue::String(smoke ? "smoke" : "full"))
-          .Set("kernel_iters", bench::JsonValue::Int(kernel_iters))
+          .Set("kernel_rounds", bench::JsonValue::Int(kernel_rounds))
           .Set("kernels", std::move(kernels_json))
           .Set("serve_pooled", serve_json(pooled))
           .Set("serve_plain", serve_json(plain))
@@ -307,7 +302,7 @@ int main(int argc, char** argv) {
       if (s > 0) min_kernel_speedup = s;
     }
     for (const KernelRow& row : kernel_rows) {
-      const double speedup = row.unfused.ns_per_op / row.fused.ns_per_op;
+      const double speedup = row.speedup();
       if (speedup < min_kernel_speedup) {
         std::fprintf(stderr,
                      "FAIL: fused %s is %.2fx vs its unfused reference "

@@ -3,6 +3,12 @@
 // host supports, with byte-identity checks between tiers on every
 // kernel. The dense MatMulInto row is the headline — it is the inner
 // loop of the O(n^2 F^2) GAT-e edge term that dominates encode cost.
+// The DenseRows rows time the row-block kernel alone at the GAT-e edge
+// shapes (n^2 = 2500 pair rows of F = 48 against one head's W3 at a
+// hidden layer's d_h = 12 and the last layer's d_h = 48, the (48, 1)
+// a_e column, and the all-heads stacks ForwardFast multiplies by:
+// 4 x 12 + 4 = 52 and 4 x 48 + 4 = 196 columns) and report GFLOP/s
+// next to ns.
 //
 // `--smoke` (Release CI) exits nonzero if
 //   * any kernel's output differs by one byte between any two tiers,
@@ -59,6 +65,10 @@ struct KernelCase {
   // Runs the kernel once and appends its full output to *out (the
   // cross-tier identity check compares these bytes).
   std::function<void(std::vector<float>*)> run;
+  // Floating-point operations per call (0: not reported) and the divisor
+  // applied to the iteration count for calls that are whole-tile sized.
+  double flops = 0;
+  int iter_div = 1;
 };
 
 struct TierTiming {
@@ -70,6 +80,7 @@ struct KernelReport {
   std::string name;
   std::vector<TierTiming> timings;
   bool identical = true;
+  double flops = 0;
 
   double NsFor(m2g::simd::Tier tier) const {
     for (const TierTiming& t : timings) {
@@ -96,6 +107,8 @@ double TimeNs(int iters, Fn&& fn) {
 KernelReport BenchKernel(const KernelCase& kernel, int iters) {
   KernelReport report;
   report.name = kernel.name;
+  report.flops = kernel.flops;
+  iters = iters / kernel.iter_div > 0 ? iters / kernel.iter_div : 1;
   std::vector<float> reference;
   for (m2g::simd::Tier tier : SupportedTiers()) {
     m2g::simd::SetTier(tier);
@@ -204,6 +217,32 @@ int main(int argc, char** argv) {
          m2g::AccumulateRowMatMul(a.data(), f, wx4.data(), 4 * f,
                                   out->data());
        }});
+  // GAT-e edge shapes through the row-block kernel: all n^2 pair rows
+  // of z against one head's W3 (d_h = 12 hidden, 48 last), a_e (m = 1),
+  // and the stacked [W3 of 4 heads | a_e of 4 heads] of each layer kind.
+  const int pairs = n * n;
+  const Matrix z = Matrix::Random(pairs, f, 0.1f, 1.0f, &rng);
+  const Matrix w3_12 = Matrix::Random(f, 12, -1.0f, 1.0f, &rng);
+  const Matrix ae = Matrix::Random(f, 1, -1.0f, 1.0f, &rng);
+  const Matrix stack_hidden = Matrix::Random(f, 52, -1.0f, 1.0f, &rng);
+  const Matrix stack_last = Matrix::Random(f, 196, -1.0f, 1.0f, &rng);
+  for (const auto& [label, b] :
+       {std::pair<const char*, const Matrix*>{"DenseRows(2500x48*48x12)",
+                                              &w3_12},
+        {"DenseRows(2500x48*48x48)", &w},
+        {"DenseRows(2500x48*48x1)", &ae},
+        {"DenseRows(2500x48*48x52)", &stack_hidden},
+        {"DenseRows(2500x48*48x196)", &stack_last}}) {
+    const int m = b->cols();
+    kernels.push_back(
+        {label,
+         [&z, b, m, pairs, f](std::vector<float>* out) {
+           out->resize(static_cast<size_t>(pairs) * m);
+           m2g::simd::DenseRowsMatMul(z.data(), pairs, f, f, b->data(), m,
+                                      out->data(), m);
+         },
+         2.0 * pairs * f * m, 200});
+  }
   kernels.push_back({"GatLogitsRow(n=50)", [&](std::vector<float>* out) {
                        out->assign(n, 0.0f);
                        m2g::GatLogitsRow(s_dst.data(), s_edge.data(), 0.37f,
@@ -250,8 +289,12 @@ int main(int argc, char** argv) {
       for (const TierTiming& t : report.timings) {
         std::printf(" %8.0fns", t.ns_per_op);
       }
-      std::printf(" %8.2fx %9s\n", speedup,
-                  report.identical ? "yes" : "NO");
+      std::printf(" %8.2fx %9s", speedup, report.identical ? "yes" : "NO");
+      if (report.flops > 0) {
+        std::printf("  (%s %.1f GFLOP/s)", m2g::simd::TierName(detected),
+                    report.flops / best_ns);
+      }
+      std::printf("\n");
       all_identical = all_identical && report.identical;
       if (report.name.rfind("MatMulInto", 0) == 0) {
         matmul_speedup = speedup;
@@ -287,13 +330,18 @@ int main(int argc, char** argv) {
     }
     const double scalar_ns = report.NsFor(m2g::simd::Tier::kScalar);
     const double best_ns = report.NsFor(detected);
-    kernels_json.Push(
+    bench::JsonValue kernel_json =
         bench::JsonValue::Object()
             .Set("kernel", bench::JsonValue::String(report.name))
             .Set("ns_per_op", std::move(tiers_json))
             .Set("speedup", bench::JsonValue::Number(
                                 best_ns > 0 ? scalar_ns / best_ns : 0))
-            .Set("identical", bench::JsonValue::Bool(report.identical)));
+            .Set("identical", bench::JsonValue::Bool(report.identical));
+    if (report.flops > 0 && best_ns > 0) {
+      kernel_json.Set("best_gflops",
+                      bench::JsonValue::Number(report.flops / best_ns));
+    }
+    kernels_json.Push(std::move(kernel_json));
   }
   bench::JsonValue doc =
       bench::JsonValue::Object()

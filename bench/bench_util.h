@@ -1,6 +1,7 @@
 #ifndef M2G_BENCH_BENCH_UTIL_H_
 #define M2G_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -9,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/stopwatch.h"
 #include "eval/rtp_model.h"
 #include "synth/dataset.h"
 
@@ -58,6 +60,87 @@ inline eval::EvalScale StandardScale() {
 /// training run; Figure 5 has its own).
 inline std::string ComparisonCachePath() { return "m2g_comparison.cache"; }
 inline std::string AblationCachePath() { return "m2g_ablation.cache"; }
+
+/// Order statistics of a sample: min, quartiles (linear interpolation
+/// between closest ranks) and median.
+struct Spread {
+  double min = 0;
+  double q1 = 0;
+  double median = 0;
+  double q3 = 0;
+
+  double iqr() const { return q3 - q1; }
+};
+
+inline Spread Summarize(std::vector<double> v) {
+  Spread s;
+  if (v.empty()) return s;
+  std::sort(v.begin(), v.end());
+  const auto quantile = [&](double q) {
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+  };
+  s.min = v.front();
+  s.q1 = quantile(0.25);
+  s.median = quantile(0.5);
+  s.q3 = quantile(0.75);
+  return s;
+}
+
+/// Paired A/B timing: per-call milliseconds of each arm over the timed
+/// rounds, and the per-round ratio A/B (B's speedup over A).
+struct AbTiming {
+  Spread a_ms;
+  Spread b_ms;
+  Spread ratio;
+};
+
+/// The shared timing core of the A/B smoke gates. One untimed warm-up
+/// call of each arm (free lists, caches, branch predictors), then
+/// `rounds` rounds that each time a batch of calls of A and the same
+/// number of calls of B back to back, alternating which arm goes first.
+/// The batch is sized from the warm-up so the faster arm's share of a
+/// round lasts at least `min_round_ms`: a single sub-millisecond call is
+/// at the mercy of one interrupt. Each round's ratio compares two arms
+/// measured moments apart, so a slow drift of the shared box (frequency,
+/// neighbours) cancels in the ratio instead of landing on whichever arm
+/// ran later; gate on ratio.median and read ratio.iqr() as the
+/// measurement's own noise.
+template <typename A, typename B>
+AbTiming MeasureAb(A&& a, B&& b, int rounds, double min_round_ms = 10.0) {
+  Stopwatch warm;
+  a();
+  const double warm_a = warm.ElapsedMillis();
+  warm.Restart();
+  b();
+  const double warm_b = warm.ElapsedMillis();
+  const double fastest = std::max(std::min(warm_a, warm_b), 1e-3);
+  const int per_round = std::max(1, static_cast<int>(std::ceil(min_round_ms /
+                                                               fastest)));
+  const auto time_ms = [per_round](auto& fn) {
+    Stopwatch watch;
+    for (int i = 0; i < per_round; ++i) fn();
+    return watch.ElapsedMillis() / per_round;
+  };
+  std::vector<double> a_ms, b_ms, ratio;
+  for (int r = 0; r < rounds; ++r) {
+    double ta, tb;
+    if (r % 2 == 0) {
+      ta = time_ms(a);
+      tb = time_ms(b);
+    } else {
+      tb = time_ms(b);
+      ta = time_ms(a);
+    }
+    a_ms.push_back(ta);
+    b_ms.push_back(tb);
+    ratio.push_back(tb > 0 ? ta / tb : 0.0);
+  }
+  return {Summarize(std::move(a_ms)), Summarize(std::move(b_ms)),
+          Summarize(std::move(ratio))};
+}
 
 /// Minimal JSON value builder for the machine-readable `BENCH_*.json`
 /// dumps CI archives as artifacts (the perf trajectory across PRs).

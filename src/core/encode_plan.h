@@ -13,14 +13,27 @@ namespace m2g::core {
 /// scope allocates without touching malloc — and, like the key cache, a
 /// plan must not outlive the request's arena scope.
 ///
-/// Per-head buffers (wh, msg, nw4, nw5) are packed at the head's output
-/// width dh (hidden/P on hidden layers, hidden on the last), so a buffer
-/// sized (max_nodes, hidden_dim) covers both layer kinds.
+/// Per-head buffers (wh, msg, and each head's slice of nw4, nw5) are
+/// packed at the head's output width dh (hidden/P on hidden layers,
+/// hidden on the last), so a (max_nodes, hidden_dim) slice covers both
+/// layer kinds. The buffers ForwardFast fills for all P heads at once
+/// (nw4, nw5, s_edge, edge_w, edge_tile) are views into one pooled
+/// block that ReserveHeads sizes, which both GAT-e fast entry points
+/// call with the layer's P. One block keeps the request's pool traffic
+/// at one buffer whatever the graph size.
 struct EncodePlan {
   /// Builds the scratch for graphs of up to `max_nodes` nodes at encoder
   /// width `hidden_dim`. Records the encode.plan_build.ms span and the
   /// encode.plan_builds counter.
   EncodePlan(int max_nodes, int hidden_dim);
+  // The all-heads views point into this plan's own heads_block.
+  EncodePlan(const EncodePlan&) = delete;
+  EncodePlan& operator=(const EncodePlan&) = delete;
+
+  /// Sizes the all-heads block for `num_heads` heads of width up to
+  /// hidden_dim and points the views into it; a no-op once it is that
+  /// large, so a plan reused across layers and levels allocates it once.
+  void ReserveHeads(int num_heads);
 
   /// The in-place residuals closing a fast GAT-e layer: h += node_out
   /// and z += edge_out over h's and z's sizes — the same elementwise
@@ -30,14 +43,20 @@ struct EncodePlan {
 
   int max_nodes = 0;
   int hidden_dim = 0;
+  int head_capacity = 0;  // heads the all-heads block holds
 
   Matrix wh;        // (max_n, d)    W1-projected nodes (Eq. 20)
   Matrix msg;       // (max_n, d)    W2 messages (Eq. 22)
-  Matrix nw4;       // (max_n, d)    nodes * W4, hoisted out of Eq. 23
-  Matrix nw5;       // (max_n, d)    nodes * W5, hoisted out of Eq. 23
   Matrix s_src;     // (max_n, 1)    wh * av_src
   Matrix s_dst;     // (max_n, 1)    wh * av_dst
-  Matrix s_edge;    // (max_n^2, 1)  edges * ae
+  // Views into heads_block, row-major, with P = head_capacity and
+  // w = P * d + P:
+  Matrix heads_block;
+  float* nw4 = nullptr;        // (P * max_n, d) nodes * W4 per head
+  float* nw5 = nullptr;        // (P * max_n, d) nodes * W5 per head
+  float* s_edge = nullptr;     // (P * max_n^2)  edges * ae per head
+  float* edge_w = nullptr;     // (d, w)     [W3 of each head | ae of each]
+  float* edge_tile = nullptr;  // (max_n, w) one attention row's pairs * edge_w
   Matrix logits;    // (1, max_n)    one attention row's logits
   Matrix alpha;     // (1, max_n)    one attention row's softmax
   Matrix row;       // (1, d)        per-row head scratch (last layer)

@@ -7,6 +7,7 @@
 #include "nn/init.h"
 #include "obs/metrics.h"
 #include "tensor/grad_mode.h"
+#include "tensor/simd.h"
 
 namespace m2g::core {
 namespace {
@@ -155,64 +156,126 @@ void GatELayer::ForwardFast(const Matrix& nodes, const Matrix& edges,
   M2G_CHECK_EQ(adjacency.size(), static_cast<size_t>(n) * n);
   M2G_CHECK_GE(plan->max_nodes, n);
   FastLayerCounter().Increment();
+  plan->ReserveHeads(num_heads_);
 
+  const int heads = num_heads_;
+  const bool last = is_last_;
+  // Hidden layers write head p's columns of the concat epilogue (Eq.
+  // 24/25) in place; the last layer averages full-width heads, so head 0
+  // seeds the accumulator and later heads add onto it in ascending order
+  // — the sequential elementwise adds of the legacy epilogue (Eq. 26).
+  const auto col0 = [&](int p) { return last ? 0 : p * dh; };
+  const float inv = 1.0f / static_cast<float>(heads);
   float* node_out = plan->node_out.data();
   float* edge_out = plan->edge_out.data();
   float* s_src = plan->s_src.data();
   float* s_dst = plan->s_dst.data();
-  float* s_edge = plan->s_edge.data();
+  float* s_edge = plan->s_edge;  // head p at p * n^2
   float* wh = plan->wh.data();
   float* msg = plan->msg.data();
-  float* nw4 = plan->nw4.data();
-  float* nw5 = plan->nw5.data();
+  float* nw4 = plan->nw4;  // head p at p * n * dh
+  float* nw5 = plan->nw5;
+  const size_t nn = static_cast<size_t>(n) * n;
 
-  for (int p = 0; p < num_heads_; ++p) {
+  // Every matmul and logit kernel below dispatches through the runtime
+  // SIMD tier (tensor/simd.h) — bitwise-identical on every tier — and
+  // MatMulInto is the dispatcher MatMulRaw runs on the legacy graph, so
+  // every row takes the path the legacy MatMul took for it. Each output
+  // column of a product is its own accumulation chain, so stacking the
+  // heads' weights side by side changes no bit of any head's columns.
+  //
+  // Eq. 23 node terms, hoisted out of the n^2 edge loop: the legacy
+  // MatMul(GatherRows(nodes, idx), W) accumulates every gathered row
+  // from zero, so its row (i, j) is bit-identical to row i of nodes * W —
+  // two (n, dh) products per head replace two (n^2, dh) ones. The edge
+  // weights of all heads are stacked into one (d, P*dh + P) matrix:
+  // [W3 of head 0 | ... | W3 of head P-1 | ae of head 0 .. P-1].
+  const int ew = heads * dh + heads;
+  float* edge_w = plan->edge_w;
+  for (int p = 0; p < heads; ++p) {
     const Head& head = heads_[p];
-    // Eq. 20/22/23 projections into the plan's scratch. Every matmul and
-    // logit kernel below dispatches through the runtime SIMD tier
-    // (tensor/simd.h) — bitwise-identical on every tier. The (1,)-wide
-    // products take AccumulateRowMatMul's branchy path — the same path
-    // MatMulRaw picked for them on the legacy graph.
-    MatMulInto(nodes.data(), n, d, head.w1.value().data(), dh, wh);
-    MatMulInto(wh, n, dh, head.av_src.value().data(), 1, s_src);
-    MatMulInto(wh, n, dh, head.av_dst.value().data(), 1, s_dst);
-    MatMulInto(edges.data(), n * n, d, head.ae.value().data(), 1, s_edge);
+    MatMulInto(nodes.data(), n, d, head.w4.value().data(), dh,
+               nw4 + static_cast<size_t>(p) * n * dh);
+    MatMulInto(nodes.data(), n, d, head.w5.value().data(), dh,
+               nw5 + static_cast<size_t>(p) * n * dh);
+    const float* w3 = head.w3.value().data();
+    const float* ae = head.ae.value().data();
+    for (int q = 0; q < d; ++q) {
+      std::copy(w3 + static_cast<size_t>(q) * dh,
+                w3 + static_cast<size_t>(q) * dh + dh,
+                edge_w + static_cast<size_t>(q) * ew + p * dh);
+      edge_w[static_cast<size_t>(q) * ew + heads * dh + p] = ae[q];
+    }
+  }
+
+  // Edge pass, one attention row's n pairs at a time: pair rows i*n ..
+  // i*n+n-1 of z are contiguous, so one MatMulInto (row-block kernel)
+  // yields every head's z*W3 (Eq. 23) and z*ae (the Eq. 20 s_edge term)
+  // for them while the rows are hot. The epilogue keeps the legacy
+  // association order ew3 + (w4-term + w5-term); on the last layer the
+  // heads accumulate in ascending order and the 1/P average (Eq. 26)
+  // follows once all P are in.
+  float* tile = plan->edge_tile;
+  for (int i = 0; i < n; ++i) {
+    const size_t r0 = static_cast<size_t>(i) * n;
+    MatMulInto(edges.data() + r0 * d, n, d, edge_w, ew, tile);
+    float* out = edge_out + r0 * d;
+    for (int p = 0; p < heads; ++p) {
+      float* se = s_edge + p * nn + r0;
+      for (int j = 0; j < n; ++j) {
+        se[j] = tile[static_cast<size_t>(j) * ew + heads * dh + p];
+      }
+      const float* e3 = tile + p * dh;
+      if (capture != nullptr) {
+        // e3 holds exactly z_ij * W3 (pre-epilogue): the value the delta
+        // path caches per (layer, head, pair).
+        float* cached =
+            capture->ew3[p] + static_cast<size_t>(i) * capture->block * dh;
+        for (int j = 0; j < n; ++j) {
+          std::copy(e3 + static_cast<size_t>(j) * ew,
+                    e3 + static_cast<size_t>(j) * ew + dh,
+                    cached + static_cast<size_t>(j) * dh);
+        }
+      }
+      simd::EdgeEpilogue(e3, ew, nw4 + (static_cast<size_t>(p) * n + i) * dh,
+                         nw5 + static_cast<size_t>(p) * n * dh, n, dh,
+                         out + col0(p), d, last && p > 0);
+    }
+    if (last) {
+      for (size_t t = 0, end = static_cast<size_t>(n) * d; t < end; ++t) {
+        out[t] *= inv;
+      }
+    }
+  }
+
+  for (int p = 0; p < heads; ++p) {
+    const Head& head = heads_[p];
+    const float* se = s_edge + p * nn;
     if (capture != nullptr) {
       // Donate this head's s_edge column to the session cache, re-laid
       // from dense (i*n + j) rows to padded (i*block + j) rows.
-      float* out = capture->se[p];
       for (int i = 0; i < n; ++i) {
-        std::copy(s_edge + static_cast<size_t>(i) * n,
-                  s_edge + static_cast<size_t>(i) * n + n,
-                  out + static_cast<size_t>(i) * capture->block);
+        std::copy(se + static_cast<size_t>(i) * n,
+                  se + static_cast<size_t>(i) * n + n,
+                  capture->se[p] + static_cast<size_t>(i) * capture->block);
       }
     }
+    // Eq. 20/22 projections, then the attention rows: logits -> masked
+    // softmax -> aggregation, fused (Eq. 20-22), no (1, n) or (1, dh)
+    // temporaries.
+    MatMulInto(nodes.data(), n, d, head.w1.value().data(), dh, wh);
+    MatMulInto(wh, n, dh, head.av_src.value().data(), 1, s_src);
+    MatMulInto(wh, n, dh, head.av_dst.value().data(), 1, s_dst);
     MatMulInto(nodes.data(), n, d, head.w2.value().data(), dh, msg);
-    // Eq. 23 node terms, hoisted out of the n^2 edge loop: the legacy
-    // MatMul(GatherRows(nodes, idx), W) accumulates every gathered row
-    // from zero, so its row (i, j) is bit-identical to row i of
-    // nodes * W — two (n, dh) products replace two (n^2, dh) ones.
-    MatMulInto(nodes.data(), n, d, head.w4.value().data(), dh, nw4);
-    MatMulInto(nodes.data(), n, d, head.w5.value().data(), dh, nw5);
-
-    const bool last = is_last_;
-    // Hidden layers write head p's columns of the concat epilogue
-    // (Eq. 24/25) in place; the last layer averages full-width heads, so
-    // head 0 seeds the accumulator and later heads add row by row — the
-    // sequential elementwise adds of the legacy epilogue (Eq. 26).
-    const int col0 = last ? 0 : p * dh;
-
-    // Attention rows: logits -> masked softmax -> aggregation, fused
-    // (Eq. 20-22), no (1, n) or (1, dh) temporaries.
     for (int i = 0; i < n; ++i) {
       const size_t base = static_cast<size_t>(i) * n;
-      GatLogitsRow(s_dst, s_edge + base, s_src[i], leaky_slope_, n,
+      GatLogitsRow(s_dst, se + base, s_src[i], leaky_slope_, n,
                    plan->logits.data());
       MaskedSoftmaxRowRaw(plan->logits.data(), adjacency, base, n,
                           plan->alpha.data());
       float* dst = (last && p > 0)
                        ? plan->row.data()
-                       : node_out + static_cast<size_t>(i) * d + col0;
+                       : node_out + static_cast<size_t>(i) * d + col0(p);
       std::fill(dst, dst + dh, 0.0f);
       AccumulateRowMatMul(plan->alpha.data(), n, msg, dh, dst);
       if (!last) {
@@ -224,49 +287,15 @@ void GatELayer::ForwardFast(const Matrix& nodes, const Matrix& edges,
         for (int c = 0; c < dh; ++c) acc[c] += dst[c];
       }
     }
-
-    // Edge updates (Eq. 23/25): z' = ReLU(z W3 + (nw4_i + nw5_j)),
-    // keeping the legacy association order ew3 + (w4-term + w5-term).
-    for (int i = 0; i < n; ++i) {
-      const float* nw4_row = nw4 + static_cast<size_t>(i) * dh;
-      for (int j = 0; j < n; ++j) {
-        const size_t r = static_cast<size_t>(i) * n + j;
-        const float* nw5_row = nw5 + static_cast<size_t>(j) * dh;
-        float* dst =
-            (last && p > 0) ? plan->row.data() : edge_out + r * d + col0;
-        std::fill(dst, dst + dh, 0.0f);
-        AccumulateRowMatMul(edges.data() + r * d, d, head.w3.value().data(),
-                            dh, dst);
-        if (capture != nullptr) {
-          // dst holds exactly z_ij * W3 here (pre-epilogue): the value
-          // the delta path caches per (layer, head, pair).
-          std::copy(dst, dst + dh,
-                    capture->ew3[p] +
-                        (static_cast<size_t>(i) * capture->block + j) * dh);
-        }
-        for (int c = 0; c < dh; ++c) {
-          const float t = nw4_row[c] + nw5_row[c];
-          const float v = dst[c] + t;
-          dst[c] = v > 0.0f ? v : 0.0f;
-        }
-        if (last && p > 0) {
-          float* acc = edge_out + r * d;
-          for (int c = 0; c < dh; ++c) acc[c] += dst[c];
-        }
-      }
-    }
   }
 
-  if (is_last_) {
-    // Eq. 26 epilogue: scale the head sums by 1/P, then the delayed node
-    // ReLU (edges average without an extra activation).
-    const float inv = 1.0f / static_cast<float>(num_heads_);
+  if (last) {
+    // Eq. 26 node epilogue: scale the head sums by 1/P, then the delayed
+    // ReLU.
     for (size_t t = 0, end = static_cast<size_t>(n) * d; t < end; ++t) {
       const float v = node_out[t] * inv;
       node_out[t] = v > 0.0f ? v : 0.0f;
     }
-    const size_t nnd = static_cast<size_t>(n) * n * d;
-    for (size_t t = 0; t < nnd; ++t) edge_out[t] *= inv;
   }
 }
 
@@ -281,6 +310,7 @@ void GatELayer::ForwardFastDelta(GatEDeltaItem* item,
   M2G_CHECK_GE(plan->max_nodes, n);
   M2G_CHECK_GE(block, n);
   M2G_CHECK_EQ(item->adjacency->size(), static_cast<size_t>(n) * n);
+  plan->ReserveHeads(num_heads_);
   const std::vector<bool>& adjacency = *item->adjacency;
 
   // Which attention rows must rerun: a row's alpha depends on its mask
@@ -335,15 +365,13 @@ void GatELayer::ForwardFastDelta(GatEDeltaItem* item,
                plan->s_dst.data());
     MatMulInto(item->h_in, n, d, head.w2.value().data(), dh,
                plan->msg.data());
-    MatMulInto(item->h_in, n, d, head.w4.value().data(), dh,
-               plan->nw4.data());
-    MatMulInto(item->h_in, n, d, head.w5.value().data(), dh,
-               plan->nw5.data());
+    MatMulInto(item->h_in, n, d, head.w4.value().data(), dh, plan->nw4);
+    MatMulInto(item->h_in, n, d, head.w5.value().data(), dh, plan->nw5);
     const float* s_src = plan->s_src.data();
     const float* s_dst = plan->s_dst.data();
     const float* msg = plan->msg.data();
-    const float* nw4 = plan->nw4.data();
-    const float* nw5 = plan->nw5.data();
+    const float* nw4 = plan->nw4;
+    const float* nw5 = plan->nw5;
 
     // s_edge updates for pairs whose z_l changed (one row of the full
     // product: zeroed accumulator + AccumulateRowMatMul — MatMulInto's
@@ -402,18 +430,8 @@ void GatELayer::ForwardFastDelta(GatEDeltaItem* item,
           AccumulateRowMatMul(item->z_in + (pbase + j) * d, d,
                               head.w3.value().data(), dh, e3);
         }
-        const float* nw5_row = nw5 + static_cast<size_t>(j) * dh;
-        float* dst =
-            (last && p > 0) ? plan->row.data() : edge_out + r * d + col0;
-        for (int c = 0; c < dh; ++c) {
-          const float t = nw4_row[c] + nw5_row[c];
-          const float v = e3[c] + t;
-          dst[c] = v > 0.0f ? v : 0.0f;
-        }
-        if (last && p > 0) {
-          float* acc = edge_out + r * d;
-          for (int c = 0; c < dh; ++c) acc[c] += dst[c];
-        }
+        simd::EdgeEpilogue(e3, dh, nw4_row, nw5 + static_cast<size_t>(j) * dh,
+                           1, dh, edge_out + r * d + col0, d, last && p > 0);
       }
     }
   }

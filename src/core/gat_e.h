@@ -75,10 +75,14 @@ class GatELayer : public nn::Module {
   /// No-grad fast path: writes Forward(...)'s out.nodes into the first n
   /// rows of plan->node_out and out.edges into the first n*n rows of
   /// plan->edge_out — bit for bit — through fused raw kernels, with no
-  /// autograd nodes and no (n^2, d) per-head temporaries (the Eq. 23
-  /// node terms are hoisted to two (n, dh) products, and attention rows
-  /// aggregate straight into the packed multi-head output). Requires
-  /// GradMode disabled; increments encode.fast_layers.
+  /// autograd nodes and no (n^2, d) per-head temporaries. The Eq. 23
+  /// node terms are hoisted to two (n, dh) products per head; the edge
+  /// terms run one attention row i at a time, its n pair rows times
+  /// every head's W3 and a_e (stacked in plan->edge_w) in one
+  /// MatMulInto into plan->edge_tile, then simd::EdgeEpilogue straight
+  /// into plan->edge_out; attention rows aggregate straight into the
+  /// packed multi-head node output. Requires GradMode disabled;
+  /// increments encode.fast_layers.
   ///
   /// `capture`, when given, receives the per-head z*W3 and s_edge
   /// intermediates — the warm-up donation for incremental re-encode.

@@ -13,8 +13,13 @@ namespace m2g::nn {
 Status SaveModule(const Module& module, const std::string& path);
 
 /// Loads parameters into `module` by name. Every parameter in the module
-/// must be present in the file with a matching shape; extra records in the
-/// file are an error too, so a round-trip is exact.
+/// must be present in the file with a matching shape; extra or duplicate
+/// records in the file are an error too, so a round-trip is exact. The
+/// load is all-or-nothing: every record is validated before any
+/// parameter is assigned, so on error the module is unchanged. Records
+/// whose header claims more bytes than the file has left are rejected
+/// before anything is allocated for them, and a NaN or infinite value is
+/// an InvalidArgument naming the parameter.
 Status LoadModule(Module* module, const std::string& path);
 
 }  // namespace m2g::nn

@@ -11,15 +11,43 @@
 namespace m2g {
 namespace {
 
-/// out += a * b accumulated in the canonical i-k-j order (streams through
-/// b and out row-wise, skips zero entries of a). Every matmul-shaped
-/// kernel below goes through AccumulateRowMatMul row by row so their
-/// accumulation orders are identical by construction.
-void MatMulAccumulate(const Matrix& a, const Matrix& b, Matrix* out) {
-  const int n = a.rows(), k = a.cols(), m = b.cols();
-  for (int i = 0; i < n; ++i) {
-    AccumulateRowMatMul(a.data() + static_cast<size_t>(i) * k, k, b.data(),
-                        m, out->data() + static_cast<size_t>(i) * m);
+/// The zero-scan that picks a row's path. The branchy skip loop wins
+/// when rows carry exact zeros (one-hot features, ReLU outputs, the
+/// all-zero initial LSTM state), the vectorized dense kernels win on
+/// dense activations. The scan is capped at the first kZeroScanCap
+/// entries: real rows are either dense everywhere (hidden activations)
+/// or zero-sparse from the start (one-hot blocks), so the prefix
+/// decides, and the scan cost stays O(1) instead of O(k) in front of
+/// every O(k*m) row product.
+///
+/// Parity argument for the cap: a zero hiding at p >= kZeroScanCap
+/// reaches a dense kernel, which adds x[p] * b[p*m + j] = +/-0.0 instead
+/// of skipping the term. Under round-to-nearest, adding +/-0.0 leaves
+/// every accumulator bit-unchanged unless the accumulator holds -0.0
+/// (only (-0) + (-0) produces -0, so an accumulator that starts at +0.0
+/// — as every caller's does — or at any nonzero value can never reach
+/// -0.0), and 0 * b is +/-0.0 for every finite b (weights are finite —
+/// nn::LoadModule rejects anything else; a nonfinite b poisons the
+/// product on either path). The argument does not depend on m, so
+/// (n, k) x (k, 1) products follow the same rule. matrix_test pins
+/// dense-with-late-zero against the skip reference byte for byte.
+bool ScanSaysDense(const float* x, int k) {
+  constexpr int kZeroScanCap = 16;
+  const int scan = k < kZeroScanCap ? k : kZeroScanCap;
+  for (int p = 0; p < scan; ++p) {
+    if (x[p] == 0.0f) return false;
+  }
+  return true;
+}
+
+/// The branchy path: ascending p, terms with x[p] == 0 skipped.
+void SparseRowMatMul(const float* x, int k, const float* b, int m,
+                     float* out_row) {
+  for (int p = 0; p < k; ++p) {
+    const float av = x[p];
+    if (av == 0.0f) continue;
+    const float* brow = b + static_cast<size_t>(p) * m;
+    for (int j = 0; j < m; ++j) out_row[j] += av * brow[j];
   }
 }
 
@@ -131,8 +159,8 @@ std::string Matrix::ToString() const {
 
 Matrix MatMulRaw(const Matrix& a, const Matrix& b) {
   M2G_CHECK_EQ(a.cols(), b.rows());
-  Matrix out(a.rows(), b.cols());
-  MatMulAccumulate(a, b, &out);
+  Matrix out = Matrix::Uninit(a.rows(), b.cols());
+  MatMulInto(a.data(), a.rows(), a.cols(), b.data(), b.cols(), out.data());
   return out;
 }
 
@@ -146,25 +174,15 @@ Matrix TransposeRaw(const Matrix& a) {
 
 Matrix MatMulATB(const Matrix& a, const Matrix& b) {
   M2G_CHECK_EQ(a.rows(), b.rows());
-  const int n = a.cols(), k = a.rows(), m = b.cols();
-  Matrix out(n, m);
-  // Gather column i of `a` into a contiguous pooled row, then run the
-  // canonical row kernel — exactly MatMulRaw(TransposeRaw(a), b) row by
-  // row, so the accumulation order (and the dense/sparse path choice)
-  // is the reference composition's, bit for bit. The old fused variant
-  // read a(p, i) strided inside the O(k*m) inner loop, which measured
-  // ~2x slower than transpose-then-multiply once the dense row kernel
-  // got register blocking; the O(k) gather per row is noise against the
-  // O(k*m) product and keeps the traffic sequential.
-  Matrix acol = Matrix::Uninit(1, k);
-  float* xrow = acol.data();
-  for (int i = 0; i < n; ++i) {
-    for (int p = 0; p < k; ++p) {
-      xrow[p] = a.data()[static_cast<size_t>(p) * n + i];
-    }
-    AccumulateRowMatMul(xrow, k, b.data(), m,
-                        out.data() + static_cast<size_t>(i) * m);
-  }
+  // Materialize a^T (one sequential O(k*n) copy from the pool) and run
+  // the one matmul dispatcher: this IS the reference composition
+  // MatMulRaw(TransposeRaw(a), b), so parity and path choice are
+  // structural. Gathering one column of `a` per output row and running
+  // the per-row kernel on it measured ~0.8x of transpose-then-multiply
+  // once MatMulInto hands dense runs to the row-block kernel.
+  const Matrix at = TransposeRaw(a);
+  Matrix out = Matrix::Uninit(at.rows(), b.cols());
+  MatMulInto(at.data(), at.rows(), at.cols(), b.data(), b.cols(), out.data());
   return out;
 }
 
@@ -177,8 +195,8 @@ Matrix MatMulABT(const Matrix& a, const Matrix& b) {
   // regression against transpose-then-multiply with the register-blocked
   // dense row kernel; bench_memory_kernels now gates fused >= unfused.
   Matrix bt = TransposeRaw(b);
-  Matrix out(a.rows(), bt.cols());
-  MatMulAccumulate(a, bt, &out);
+  Matrix out = Matrix::Uninit(a.rows(), bt.cols());
+  MatMulInto(a.data(), a.rows(), a.cols(), bt.data(), bt.cols(), out.data());
   return out;
 }
 
@@ -189,8 +207,8 @@ Matrix AffineRaw(const Matrix& x, const Matrix& w, const Matrix* bias,
     M2G_CHECK_EQ(bias->rows(), 1);
     M2G_CHECK_EQ(bias->cols(), w.cols());
   }
-  Matrix out(x.rows(), w.cols());
-  MatMulAccumulate(x, w, &out);
+  Matrix out = Matrix::Uninit(x.rows(), w.cols());
+  MatMulInto(x.data(), x.rows(), x.cols(), w.data(), w.cols(), out.data());
   if (bias != nullptr) AddRowBias(*bias, &out);
   if (act == Activation::kRelu) {
     simd::ReluInPlace(out.data(), out.size());
@@ -200,42 +218,8 @@ Matrix AffineRaw(const Matrix& x, const Matrix& w, const Matrix* bias,
 
 void AccumulateRowMatMul(const float* x, int k, const float* b, int m,
                          float* out_row) {
-  // Zero-scan picks the path: the branchy loop wins when rows carry exact
-  // zeros (one-hot features, ReLU outputs, the all-zero initial LSTM
-  // state), the vectorized dense kernel wins on dense activations. The
-  // scan is capped at the first kZeroScanCap entries: real rows are
-  // either dense everywhere (hidden activations) or zero-sparse from the
-  // start (one-hot blocks), so the prefix decides, and the scan cost
-  // stays O(1) instead of O(k) in front of every O(k*m) row product.
-  //
-  // Parity argument for the cap: a zero hiding at p >= kZeroScanCap
-  // reaches the dense kernel, which adds x[p] * b[p*m + j] = +/-0.0
-  // instead of skipping the term. Under round-to-nearest, adding +/-0.0
-  // leaves every accumulator bit-unchanged unless the accumulator holds
-  // -0.0 (only (-0) + (-0) produces -0, so an accumulator that starts at
-  // +0.0 — as every caller's does — or at any nonzero value can never
-  // reach -0.0), and 0 * b is +/-0.0 for every finite b (weights are
-  // finite; a nonfinite b poisons the product on either path).
-  // matrix_test pins dense-with-late-zero against the skip reference
-  // byte for byte.
-  bool dense = m >= 4;
-  if (dense) {
-    constexpr int kZeroScanCap = 16;
-    const int scan = k < kZeroScanCap ? k : kZeroScanCap;
-    for (int p = 0; p < scan; ++p) {
-      if (x[p] == 0.0f) {
-        dense = false;
-        break;
-      }
-    }
-  }
-  if (!dense) {
-    for (int p = 0; p < k; ++p) {
-      const float av = x[p];
-      if (av == 0.0f) continue;
-      const float* brow = b + static_cast<size_t>(p) * m;
-      for (int j = 0; j < m; ++j) out_row[j] += av * brow[j];
-    }
+  if (!ScanSaysDense(x, k)) {
+    SparseRowMatMul(x, k, b, m, out_row);
     return;
   }
   // Dense path: the runtime-dispatched SIMD tier (AVX2 -> SSE2 ->
@@ -273,10 +257,26 @@ void PointerScoresMasked(const Matrix& keys, const float* q, const float* v,
 
 void MatMulInto(const float* a, int n, int k, const float* b, int m,
                 float* out) {
-  std::fill(out, out + static_cast<size_t>(n) * m, 0.0f);
-  for (int i = 0; i < n; ++i) {
-    AccumulateRowMatMul(a + static_cast<size_t>(i) * k, k, b, m,
-                        out + static_cast<size_t>(i) * m);
+  // Per row, the same zero-scan AccumulateRowMatMul runs. Consecutive
+  // rows it marks dense go to the row-block kernel in one call (output
+  // seeded at +0.0, register-held accumulators); each row it marks
+  // sparse is zeroed and takes the branchy skip loop. Either way every
+  // row gets exactly the terms, order and path AccumulateRowMatMul
+  // would give it on a zeroed row.
+  int run = 0;  // first row of the pending dense run
+  for (int i = 0; i <= n; ++i) {
+    const float* row = a + static_cast<size_t>(i) * k;
+    if (i < n && ScanSaysDense(row, k)) continue;
+    if (run < i) {
+      simd::DenseRowsMatMul(a + static_cast<size_t>(run) * k, i - run, k, k,
+                            b, m, out + static_cast<size_t>(run) * m, m);
+    }
+    if (i < n) {
+      float* out_row = out + static_cast<size_t>(i) * m;
+      std::fill(out_row, out_row + m, 0.0f);
+      SparseRowMatMul(row, k, b, m, out_row);
+    }
+    run = i + 1;
   }
 }
 
@@ -319,14 +319,15 @@ Matrix DualAffineRaw(const Matrix& x, const Matrix& wx, const Matrix& h,
   M2G_CHECK_EQ(wx.cols(), wh.cols());
   M2G_CHECK_EQ(bias.rows(), 1);
   M2G_CHECK_EQ(bias.cols(), wx.cols());
-  Matrix out(x.rows(), wx.cols());
-  MatMulAccumulate(x, wx, &out);
+  Matrix out = Matrix::Uninit(x.rows(), wx.cols());
+  MatMulInto(x.data(), x.rows(), x.cols(), wx.data(), wx.cols(), out.data());
   // The second product must be materialized before the elementwise add:
   // folding it into `out` directly would interleave the two summations
   // and change float rounding. The scratch comes from the pool, so on a
   // warm arena this costs no malloc.
-  Matrix scratch(h.rows(), wh.cols());
-  MatMulAccumulate(h, wh, &scratch);
+  Matrix scratch = Matrix::Uninit(h.rows(), wh.cols());
+  MatMulInto(h.data(), h.rows(), h.cols(), wh.data(), wh.cols(),
+             scratch.data());
   out.AddInPlace(scratch);
   AddRowBias(bias, &out);
   return out;

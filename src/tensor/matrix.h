@@ -124,17 +124,18 @@ Matrix MatMulRaw(const Matrix& a, const Matrix& b);
 Matrix TransposeRaw(const Matrix& a);
 
 // ---------------------------------------------------------------------------
-// Transpose-free fused kernels. Each reproduces the exact accumulation
-// order of the op composition it replaces (same i-k-j loops, same
-// skip-if-zero), so results are bitwise-identical to the unfused path —
-// only the transpose copies and intermediate buffers disappear.
+// Fused kernels. Each reproduces the exact accumulation order of the op
+// composition it replaces (same i-k-j loops, same skip-if-zero), so
+// results are bitwise-identical to the unfused path. The transposed
+// products copy the transpose into pooled scratch (a sequential copy
+// beats a strided inner loop); the affine ones drop the intermediate
+// buffers.
 // ---------------------------------------------------------------------------
 
-/// out = a^T * b without materializing a^T. Shapes (k,n) x (k,m) -> (n,m).
-/// Bitwise-identical to MatMulRaw(TransposeRaw(a), b): each row of a^T
-/// is gathered into a (1, k) pooled scratch and fed through the
-/// canonical row kernel, so the accumulation order is the reference
-/// composition's by construction.
+/// out = a^T * b. Shapes (k,n) x (k,m) -> (n,m). Bitwise-identical to
+/// MatMulRaw(TransposeRaw(a), b) — it materializes a^T into pooled
+/// scratch and runs the same dispatcher, so the accumulation order is
+/// the reference composition's by construction.
 Matrix MatMulATB(const Matrix& a, const Matrix& b);
 
 /// out = a * b^T. Shapes (n,k) x (m,k) -> (n,m). Bitwise-identical to
@@ -157,10 +158,11 @@ Matrix DualAffineRaw(const Matrix& x, const Matrix& wx, const Matrix& h,
                      const Matrix& wh, const Matrix& bias);
 
 // ---------------------------------------------------------------------------
-// Row-level kernels for the decode fast path. These are the primitives
-// behind the matrix-level kernels above (MatMulRaw et al. route every row
-// through AccumulateRowMatMul), so callers can mix row- and matrix-level
-// calls without changing a single output bit.
+// Row-level kernels for the decode fast path. AccumulateRowMatMul is the
+// per-row reference the matrix-level kernels above reproduce (MatMulInto
+// applies its zero-scan to every row and its bits to every element), so
+// callers can mix row- and matrix-level calls without changing a single
+// output bit.
 // ---------------------------------------------------------------------------
 
 /// out_row += x * b for one row: x is k floats, b is (k, m) row-major,
@@ -172,7 +174,7 @@ Matrix DualAffineRaw(const Matrix& x, const Matrix& wx, const Matrix& h,
 /// same terms to the same accumulators in the same order with separate
 /// mul + add instructions, so the result is bitwise-identical either way
 /// (a zero past the scan cap contributes a bitwise-neutral +/-0.0 term;
-/// see the parity argument at the definition).
+/// see the parity argument at ScanSaysDense in matrix.cc).
 void AccumulateRowMatMul(const float* x, int k, const float* b, int m,
                          float* out_row);
 
@@ -198,11 +200,13 @@ void PointerScoresMasked(const Matrix& keys, const float* q, const float* v,
 // ---------------------------------------------------------------------------
 
 /// out = a * b written into caller scratch: a is (n, k) row-major, b is
-/// (k, m) row-major, out is (n, m) row-major and fully overwritten.
-/// Bitwise-identical to MatMulRaw (zeroed accumulators, the same per-row
-/// AccumulateRowMatMul order) — only the output allocation moves to the
-/// caller, which lets a request-scoped plan pack per-head results at
-/// arbitrary strides without per-call Matrix temporaries.
+/// (k, m) row-major, out is (n, m) row-major and fully overwritten. This
+/// is the one matmul dispatcher: MatMulRaw, AffineRaw, DualAffineRaw and
+/// MatMulABT all run through it. Each row is bitwise what
+/// AccumulateRowMatMul produces on a zeroed row — the same zero-scan
+/// picks its path — but runs of consecutive dense rows go to the
+/// row-block kernel (simd::DenseRowsMatMul) in one call, with
+/// register-held accumulators instead of per-row dispatch.
 void MatMulInto(const float* a, int n, int k, const float* b, int m,
                 float* out);
 

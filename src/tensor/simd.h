@@ -30,6 +30,15 @@ namespace m2g::simd {
 // is bit-for-bit identical to the scalar reference (simd_parity_test
 // pins this on ragged shapes, denormals, and ±inf/NaN inputs).
 //
+// Where an output element's running sum lives is not part of the
+// contract: the row-block kernel (DenseRowsMatMul) keeps it in a
+// register for the whole reduction instead of reloading and storing it
+// every few terms. A float store/load round-trips exactly, so holding
+// the sum in a register changes no bit; only the number of memory
+// operations moves. Lanes may also hold different *rows* (the m == 1
+// kernel puts eight output rows in the eight lanes of one register):
+// each lane is still one output element's own ascending-p chain.
+//
 // Overrides, in precedence order:
 //   * M2G_SIMD environment variable, read once at first kernel use:
 //     "off"/"scalar", "sse2", "avx2", or "auto" (the default). Requests
@@ -71,7 +80,8 @@ const char* TierName(Tier tier);
 // entry points the rest of the library uses (AccumulateRowMatMul,
 // GatLogitsRow, AffineRaw, ...) live in tensor/matrix.h and forward
 // here. Callers, not these kernels, own path selection: DenseRowMatMul
-// is only reached after the zero-scan chose the dense path.
+// and DenseRowsMatMul are only reached after the zero-scan chose the
+// dense path.
 
 /// out_row[j] += sum_p x[p] * b[p*m + j], terms in ascending-p order per
 /// output element, no zero-skip (the caller's zero-scan guaranteed the
@@ -79,6 +89,36 @@ const char* TierName(Tier tier);
 /// term, which is bitwise-neutral — see AccumulateRowMatMul).
 void DenseRowMatMul(const float* x, int k, const float* b, int m,
                     float* out_row);
+
+/// Fresh output rows: for r in [0, rows) and j in [0, m),
+///   out[r*out_stride + j] = +0.0 + x[r*x_stride + 0] * b[0*m + j]
+///                                + x[r*x_stride + 1] * b[1*m + j] + ...
+/// — each element seeded at +0.0 and then the ascending-p terms with
+/// separate mul and add, so every row is bitwise what a zero-filled row
+/// through DenseRowMatMul produces. The AVX2 tier register-blocks 4 rows
+/// by 16/12/8/4 columns (scalar columns after that) with the
+/// accumulators held across the whole reduction, in 64-row panels, and
+/// for m == 1 puts 8 rows in the lanes of one register
+/// (x is transposed 8x8 in registers, so each lane walks its own row in
+/// ascending p). The scalar and SSE2 tiers are the fill-zero + per-row
+/// composition itself. Like DenseRowMatMul this skips no zeros: callers
+/// hand it only rows their zero-scan marked dense.
+void DenseRowsMatMul(const float* x, int rows, size_t x_stride, int k,
+                     const float* b, int m, float* out, size_t out_stride);
+
+/// The GAT-e edge epilogue (Eq. 23/25) for n pair rows that share the
+/// source node i: for j in [0, n) and c in [0, dh),
+///   v = e3[j*e3_stride + c] + (nw4_row[c] + nw5[j*dh + c]);
+///   r = v > 0 ? v : 0.0f;
+///   out[j*out_stride + c] = r          (accumulate == false)
+///   out[j*out_stride + c] += r         (accumulate == true)
+/// The association order is the legacy Add(ew3, Add(w4-term, w5-term));
+/// the accumulate form is the last layer's ascending-head sum (Eq. 26).
+/// The vector ReLU ands v with its v > 0 mask, so NaN and -0.0 become
+/// +0.0 exactly as the scalar ternary does.
+void EdgeEpilogue(const float* e3, size_t e3_stride, const float* nw4_row,
+                  const float* nw5, int n, int dh, float* out,
+                  size_t out_stride, bool accumulate);
 
 /// logits[j] = LeakyRelu((s_dst[j] + s_edge_row[j]) + s_src_i), the
 /// GAT-e attention-logit row (tensor/matrix.h GatLogitsRow forwards

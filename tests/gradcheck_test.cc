@@ -484,9 +484,9 @@ TEST_P(GradCheckTest, TransposeFreeKernelsBitwiseMatchTransposed) {
 
 // The encode fast path's raw kernels (matrix.h) vs the op compositions
 // GatELayer::Forward builds: bit-for-bit, including the m == 1 attention
-// projections (which must take AccumulateRowMatMul's branchy path exactly
-// like the op-layer MatMul does) and softmax rows addressed through a
-// `base` offset into the full adjacency mask.
+// projections (which must take the same per-row path as the op-layer
+// MatMul does) and softmax rows addressed through a `base` offset into
+// the full adjacency mask.
 TEST_P(GradCheckTest, EncodeFastPathRawKernelsBitwiseMatchOps) {
   Rng rng(31);
   for (int t = 0; t < 5; ++t) {

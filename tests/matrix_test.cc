@@ -100,8 +100,8 @@ void ReferenceRowMatMul(const float* x, int k, const Matrix& b,
 
 TEST(RowKernelTest, AccumulateRowMatMulMatchesReferenceBitwise) {
   Rng rng(42);
-  // k values straddle the 4-wide unroll boundary; m = 3 exercises the
-  // small-output branchy fallback, m = 7 the dense path.
+  // k values straddle the 4-wide unroll boundary; m = 3 stays below the
+  // narrowest column vector, m = 7 straddles it.
   for (int k : {1, 3, 4, 7, 9, 16}) {
     for (int m : {3, 7}) {
       for (bool with_zeros : {false, true}) {
@@ -182,6 +182,58 @@ TEST(RowKernelTest, MatMulRawAgreesWithRowPrimitive) {
                           b.cols() * sizeof(float)),
               0)
         << "row " << i;
+  }
+}
+
+TEST(RowKernelTest, MatMulIntoKeepsPerRowPathChoiceBitwise) {
+  // MatMulInto batches runs of rows the zero-scan marks dense into the
+  // row-block kernel and sends the rest down the branchy path. Rows
+  // alternate between a zero inside the scanned prefix (column 3) and
+  // dense rows (some with a zero past the cap, at column 20); b's row 3
+  // is +inf, so a sparse row that reached a dense kernel would pick up
+  // 0 * inf = NaN. Every row must match AccumulateRowMatMul on a zeroed
+  // row byte for byte — the same path, the same bits — for MatMulInto
+  // and for MatMulRaw, which runs through it.
+  Rng rng(48);
+  const int k = 24;
+  const std::vector<bool> sparse = {false, true,  false, false, false,
+                                    false, false, true,  true,  false,
+                                    true,  false, false, false, false,
+                                    false, false, false, false, true};
+  const int n = static_cast<int>(sparse.size());
+  for (int m : {1, 3, 4, 12, 13, 48}) {
+    Matrix a = Matrix::Random(n, k, 0.1f, 1.0f, &rng);
+    for (int i = 0; i < n; ++i) {
+      if (sparse[i]) {
+        a.At(i, 3) = 0.0f;
+      } else if (i % 3 == 0) {
+        a.At(i, 20) = 0.0f;
+      }
+    }
+    Matrix b = Matrix::Random(k, m, -1, 1, &rng);
+    for (int j = 0; j < m; ++j) {
+      b.At(3, j) = std::numeric_limits<float>::infinity();
+    }
+    Matrix into = Matrix::Uninit(n, m);
+    MatMulInto(a.data(), n, k, b.data(), m, into.data());
+    const Matrix raw = MatMulRaw(a, b);
+    for (int i = 0; i < n; ++i) {
+      std::vector<float> want(m, 0.0f);
+      AccumulateRowMatMul(a.data() + static_cast<size_t>(i) * k, k, b.data(),
+                          m, want.data());
+      const size_t at = static_cast<size_t>(i) * m;
+      EXPECT_EQ(
+          std::memcmp(into.data() + at, want.data(), m * sizeof(float)), 0)
+          << "MatMulInto m=" << m << " row " << i;
+      EXPECT_EQ(std::memcmp(raw.data() + at, want.data(), m * sizeof(float)),
+                0)
+          << "MatMulRaw m=" << m << " row " << i;
+      if (sparse[i]) {
+        for (int j = 0; j < m; ++j) {
+          EXPECT_TRUE(std::isfinite(into.At(i, j))) << "row " << i;
+        }
+      }
+    }
   }
 }
 

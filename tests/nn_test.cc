@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "nn/embedding.h"
 #include "nn/init.h"
@@ -191,6 +195,135 @@ TEST(SerializeTest, MissingFileIsIoError) {
   Mlp a({2, 2}, &rng);
   Status s = LoadModule(&a, "/nonexistent/path/weights.bin");
   EXPECT_EQ(s.code(), StatusCode::kIoError);
+}
+
+// Flattened parameter values, for "the module is unchanged" checks.
+std::vector<float> Snapshot(const Module& module) {
+  std::vector<float> flat;
+  for (const Tensor& p : module.Parameters()) {
+    flat.insert(flat.end(), p.value().data(),
+                p.value().data() + p.value().size());
+  }
+  return flat;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  std::string bytes;
+  char buf[4096];
+  size_t got;
+  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, got);
+  std::fclose(f);
+  return bytes;
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  std::fwrite(bytes.data(), 1, bytes.size(), f);
+  std::fclose(f);
+}
+
+// Byte offsets of each record's (rows, cols) header and float data in a
+// SaveModule file: magic, count, then per record name_len, name, rows,
+// cols, data.
+struct RecordLayout {
+  std::string name;
+  size_t shape_offset;
+  size_t data_offset;
+};
+
+std::vector<RecordLayout> Records(const std::string& bytes) {
+  std::vector<RecordLayout> out;
+  uint32_t count = 0;
+  std::memcpy(&count, bytes.data() + 4, 4);
+  size_t at = 8;
+  for (uint32_t i = 0; i < count; ++i) {
+    uint32_t name_len = 0;
+    std::memcpy(&name_len, bytes.data() + at, 4);
+    RecordLayout r;
+    r.name = bytes.substr(at + 4, name_len);
+    r.shape_offset = at + 4 + name_len;
+    int32_t rows = 0, cols = 0;
+    std::memcpy(&rows, bytes.data() + r.shape_offset, 4);
+    std::memcpy(&cols, bytes.data() + r.shape_offset + 4, 4);
+    r.data_offset = r.shape_offset + 8;
+    at = r.data_offset + sizeof(float) * static_cast<size_t>(rows) * cols;
+    out.push_back(r);
+  }
+  return out;
+}
+
+class SerializeCorruptionTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    Rng rng(13);
+    Mlp source({3, 8, 2}, &rng);
+    path_ = ::testing::TempDir() + "/mlp_corrupt.bin";
+    ASSERT_TRUE(SaveModule(source, path_).ok());
+    bytes_ = ReadFile(path_);
+    records_ = Records(bytes_);
+    ASSERT_GE(records_.size(), 2u);
+  }
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  /// Loads `bytes` into a differently initialized module and expects a
+  /// non-OK status with every parameter left as it was.
+  Status LoadIntoFresh(const std::string& bytes) {
+    Rng rng(14);
+    Mlp target({3, 8, 2}, &rng);
+    const std::vector<float> before = Snapshot(target);
+    WriteFile(path_, bytes);
+    Status s = LoadModule(&target, path_);
+    EXPECT_EQ(Snapshot(target), before) << "module was partially loaded";
+    return s;
+  }
+
+  std::string path_;
+  std::string bytes_;
+  std::vector<RecordLayout> records_;
+};
+
+TEST_F(SerializeCorruptionTest, HugeShapeHeaderIsRejectedWithoutAllocating) {
+  // The last record claims 2^30 x 2^30 floats: 4 EiB, far past the bytes
+  // left in the file. It must be rejected from the header alone.
+  std::string bytes = bytes_;
+  const int32_t huge = 1 << 30;
+  std::memcpy(&bytes[records_.back().shape_offset], &huge, 4);
+  std::memcpy(&bytes[records_.back().shape_offset + 4], &huge, 4);
+  Status s = LoadIntoFresh(bytes);
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.message().find(records_.back().name), std::string::npos)
+      << s.message();
+}
+
+TEST_F(SerializeCorruptionTest, NanWeightIsRejectedNamingTheParameter) {
+  // Poison the last record, so every earlier record has already passed
+  // its checks when the NaN is found.
+  std::string bytes = bytes_;
+  const float nan = std::nanf("");
+  std::memcpy(&bytes[records_.back().data_offset], &nan, sizeof(nan));
+  Status s = LoadIntoFresh(bytes);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find(records_.back().name), std::string::npos)
+      << s.message();
+}
+
+TEST_F(SerializeCorruptionTest, InfWeightIsRejected) {
+  std::string bytes = bytes_;
+  const float inf = -INFINITY;
+  std::memcpy(&bytes[records_.front().data_offset], &inf, sizeof(inf));
+  EXPECT_EQ(LoadIntoFresh(bytes).code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(SerializeCorruptionTest, LateMissingRecordLeavesModuleUnchanged) {
+  // Rename the last record: the count still matches, every earlier
+  // parameter checks out, and only the last lookup fails.
+  std::string bytes = bytes_;
+  bytes[records_.back().shape_offset - 1] ^= 0x20;
+  Status s = LoadIntoFresh(bytes);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("missing parameter"), std::string::npos)
+      << s.message();
 }
 
 TEST(InitTest, XavierBoundsRespectFanInOut) {

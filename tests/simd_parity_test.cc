@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfloat>
 #include <cmath>
 #include <cstring>
@@ -170,6 +171,125 @@ TEST_F(SimdParityTest, DenseRowMatMulDenormals) {
         return out;
       },
       "AccumulateRowMatMul denormal");
+}
+
+TEST_F(SimdParityTest, DenseRowsMatMulAcrossTiers) {
+  // The row-block kernel against its specification on every tier: each
+  // output row is a zero-filled row through the scalar per-row kernel.
+  // Shapes straddle the 4-row blocks, the 8-row lanes of the m == 1
+  // kernel, the 64-row panels (70 rows), the 16/12/8/4-column tiles and
+  // their scalar column tail, and the 8-wide transpose steps in k; x
+  // rows sit at a stride wider than k and output rows at a stride wider
+  // than m (the gaps must survive).
+  // Special values get a row each, so every NaN in an output row comes
+  // from one source and carries one payload whatever the operand order.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float sentinel = -12345.0f;
+  Rng rng(7011);
+  for (int rows : {1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 70}) {
+    for (int m : {1, 3, 4, 8, 12, 13, 16, 48, 49}) {
+      for (int k : {1, 15, 16, 17, 48}) {
+        const size_t x_stride = static_cast<size_t>(k) + 3;
+        const size_t out_stride = static_cast<size_t>(m) + 2;
+        std::vector<float> x(rows * x_stride);
+        for (float& v : x) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
+        x[(rows / 2) * x_stride] = FLT_MIN / 4.0f;  // denormal operand
+        if (rows >= 4) {
+          x[1 * x_stride + k / 2] = inf;
+          x[2 * x_stride + k - 1] = -inf;
+          x[3 * x_stride] = nan;
+        }
+        const Matrix b = Matrix::Random(k, m, -1.0f, 1.0f, &rng);
+
+        simd::SetTier(simd::Tier::kScalar);
+        std::vector<float> want(rows * out_stride, sentinel);
+        for (int r = 0; r < rows; ++r) {
+          float* o = want.data() + r * out_stride;
+          std::fill(o, o + m, 0.0f);
+          simd::DenseRowMatMul(x.data() + r * x_stride, k, b.data(), m, o);
+        }
+        for (simd::Tier tier : SupportedTiers()) {
+          simd::SetTier(tier);
+          std::vector<float> got(rows * out_stride, sentinel);
+          simd::DenseRowsMatMul(x.data(), rows, x_stride, k, b.data(), m,
+                                got.data(), out_stride);
+          ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                want.size() * sizeof(float)),
+                    0)
+              << "tier " << simd::TierName(tier) << " rows=" << rows
+              << " m=" << m << " k=" << k;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(SimdParityTest, EdgeEpilogueAcrossTiers) {
+  // relu(e3 + (nw4_i + nw5_j)) in write and accumulate form: NaN and
+  // -0.0 pre-activations must come out as +0.0 on every tier, and the
+  // accumulate form must equal the write form added onto the output.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  Rng rng(7012);
+  for (int n : {1, 2, 5}) {
+    for (int dh : {1, 3, 4, 8, 12, 13, 48}) {
+      const size_t out_stride = static_cast<size_t>(dh) + 5;
+      const size_t e3_stride = static_cast<size_t>(dh) + 3;
+      const size_t e3_size = static_cast<size_t>(n) * dh;
+      std::vector<float> e3(n * e3_stride), nw5(e3_size), nw4(dh);
+      for (float& v : e3) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
+      for (float& v : nw5) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
+      for (float& v : nw4) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
+      e3[0] = nan;
+      if (dh > 2) {
+        // (-0.0) + ((-0.0) + (-0.0)) is a -0.0 pre-activation.
+        e3[1] = -0.0f;
+        nw4[1] = -0.0f;
+        nw5[1] = -0.0f;
+        e3[2] = inf;
+        nw5[e3_size - 1] = -inf;
+      }
+      std::vector<float> base(n * out_stride);
+      for (float& v : base) v = static_cast<float>(rng.Uniform(0.0, 2.0));
+
+      for (bool accumulate : {false, true}) {
+        ExpectTierParity(
+            [&] {
+              std::vector<float> out = base;
+              simd::EdgeEpilogue(e3.data(), e3_stride, nw4.data(),
+                                 nw5.data(), n, dh, out.data(), out_stride,
+                                 accumulate);
+              return out;
+            },
+            accumulate ? "EdgeEpilogue accumulate" : "EdgeEpilogue write");
+      }
+      simd::SetTier(simd::Tier::kScalar);
+      std::vector<float> written = base, summed = base;
+      simd::EdgeEpilogue(e3.data(), e3_stride, nw4.data(), nw5.data(), n,
+                         dh, written.data(), out_stride, false);
+      simd::EdgeEpilogue(e3.data(), e3_stride, nw4.data(), nw5.data(), n,
+                         dh, summed.data(), out_stride, true);
+      for (int j = 0; j < n; ++j) {
+        for (size_t c = 0; c < out_stride; ++c) {
+          const size_t t = j * out_stride + c;
+          if (c >= static_cast<size_t>(dh)) {
+            EXPECT_EQ(written[t], base[t]) << "gap written";
+            EXPECT_EQ(summed[t], base[t]) << "gap written";
+            continue;
+          }
+          EXPECT_FALSE(std::isnan(written[t]));
+          EXPECT_FALSE(std::signbit(written[t])) << "relu kept a sign";
+          const float want = base[t] + written[t];
+          EXPECT_EQ(std::memcmp(&summed[t], &want, sizeof(float)), 0);
+        }
+      }
+      EXPECT_EQ(written[0], 0.0f);  // NaN pre-activation
+      if (dh > 2) {
+        EXPECT_EQ(written[1], 0.0f);  // -0.0 pre-activation
+      }
+    }
+  }
 }
 
 TEST_F(SimdParityTest, GatLogitsRowInfAndNan) {
