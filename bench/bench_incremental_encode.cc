@@ -7,26 +7,25 @@
 // checked byte-identical between the arms: the delta path is a pure
 // reuse, so any divergence is a bug, not noise.
 //
+// Timing is bench::MeasureAb: a warm-up, then interleaved full/
+// incremental rounds; the amortized speedup is the median of the
+// per-round ratios (full-arm ms / incremental-arm ms) and its IQR is
+// printed next to it.
+//
 // --smoke runs fewer rounds and gates on
 //   * encodings byte-identical at every stream step,
-//   * amortized stream speedup >= M2G_BENCH_INCR_MIN_SPEEDUP (default
-//     2.0) — full-arm total ms / incremental-arm total ms. The floor
-//     was 3.0 (measured ~3.4x) against the scalar kernels; the SIMD
-//     tier made the full-encode baseline itself ~4x faster, which
-//     compresses the *ratio* while improving both arms' absolute
-//     times (measured ~2.4x amortized on the AVX2 dev container),
+//   * amortized stream speedup >= 2.0x. The floor was 3.0 (measured
+//     ~3.4x) against the scalar kernels; the SIMD tier made the
+//     full-encode baseline itself ~4x faster, which compresses the
+//     *ratio* while improving both arms' absolute times,
 //   * most steps actually took the delta path (the stream must not live
 //     on fallbacks),
 //   * BENCH_incremental.json written.
 // Both modes dump BENCH_incremental.json at the CWD (repo root in CI)
 // for the perf-trajectory artifact trail.
 //
-// CI floor caveat: like bench_serving_throughput, the floor assumes the
-// runner gives the process a mostly idle core; a preempted box can dip
-// below it, which is why the floor is env-tunable rather than hard-coded.
-//
-// Scale knobs: M2G_BENCH_INCR_ROUNDS (default 10 full / 3 smoke),
-// M2G_BENCH_INCR_MIN_SPEEDUP.
+// Scale knob: M2G_BENCH_INCR_ROUNDS, timed rounds (default 31 full / 15
+// smoke; each round times >= 10 ms of streams of each arm).
 
 #include <cstdio>
 #include <cstdlib>
@@ -37,7 +36,6 @@
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
-#include "common/stopwatch.h"
 #include "core/encode_plan.h"
 #include "core/encoder.h"
 #include "core/incremental_encode.h"
@@ -112,16 +110,12 @@ bool LevelsBitEqual(const core::EncodedLevel& a, const core::EncodedLevel& b) {
 
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  int rounds = smoke ? 3 : 10;
+  int rounds = smoke ? 15 : 31;
   if (const char* v = std::getenv("M2G_BENCH_INCR_ROUNDS")) {
     const int n = std::atoi(v);
     if (n > 0) rounds = n;
   }
-  double min_speedup = 2.0;
-  if (const char* v = std::getenv("M2G_BENCH_INCR_MIN_SPEEDUP")) {
-    const double s = std::atof(v);
-    if (s > 0) min_speedup = s;
-  }
+  constexpr double kMinSpeedup = 2.0;
 
   // Paper dims (hidden 48, 4 heads, 2 layers) — the location-level
   // serving hot path, kNN degree from the config default.
@@ -143,6 +137,22 @@ int main(int argc, char** argv) {
   }
   const int steps = static_cast<int>(stream.size());
 
+  // One arrival through an encode session: the delta path, or the
+  // (re-)warming full encode when the cache is cold or the delta refuses.
+  const auto session_step = [&](int i, core::LevelEncodeCache* cache,
+                                core::EncodePlan* plan, bool* delta_used) {
+    std::optional<core::EncodedLevel> d;
+    if (i > 0) {
+      d = encoder.EncodeDelta(stream[i], stream[i - 1],
+                              graph::DiffLevelGraph(stream[i - 1], stream[i]),
+                              global, plan, cache);
+    }
+    *delta_used = d.has_value();
+    return d.has_value()
+               ? std::move(*d)
+               : encoder.EncodeFastCached(stream[i], global, plan, cache);
+  };
+
   // Parity + path census (untimed): every arrival byte-identical, and
   // count how the incremental arm actually served each step.
   int delta_steps = 0;
@@ -153,22 +163,10 @@ int main(int argc, char** argv) {
     core::LevelEncodeCache cache;
     core::EncodePlan plan(kEndNodes, config.hidden_dim);
     for (int i = 0; i < steps; ++i) {
-      core::EncodedLevel incr;
-      if (i == 0) {
-        incr = encoder.EncodeFastCached(stream[i], global, &plan, &cache);
-      } else {
-        const graph::LevelGraphDelta delta =
-            graph::DiffLevelGraph(stream[i - 1], stream[i]);
-        std::optional<core::EncodedLevel> d = encoder.EncodeDelta(
-            stream[i], stream[i - 1], delta, global, &plan, &cache);
-        if (d.has_value()) {
-          ++delta_steps;
-          incr = std::move(*d);
-        } else {
-          ++fallback_steps;
-          incr = encoder.EncodeFastCached(stream[i], global, &plan, &cache);
-        }
-      }
+      bool delta_used = false;
+      const core::EncodedLevel incr =
+          session_step(i, &cache, &plan, &delta_used);
+      if (i > 0) ++(delta_used ? delta_steps : fallback_steps);
       core::EncodePlan fresh_plan(stream[i].n, config.hidden_dim);
       core::EncodedLevel full =
           encoder.EncodeFast(stream[i], global, &fresh_plan);
@@ -176,58 +174,33 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Timed arms: whole-stream totals, fastest of `rounds` (discards
-  // transient load spikes on a shared CI box). The incremental arm
-  // restarts cold each round — its warm-up full encode and any capacity
-  // re-warms are inside the measured total, so the speedup is amortized,
-  // not cherry-picked.
-  const auto full_stream_ms = [&] {
+  // Timed arms: one whole stream per call. The incremental arm restarts
+  // cold each call — its warm-up full encode and any capacity re-warms
+  // are inside the measured total, so the speedup is amortized, not
+  // cherry-picked.
+  const auto full_stream = [&] {
     ArenaGuard arena;
-    Stopwatch watch;
     for (int i = 0; i < steps; ++i) {
       core::EncodePlan plan(stream[i].n, config.hidden_dim);
       core::EncodedLevel enc = encoder.EncodeFast(stream[i], global, &plan);
       g_sink = g_sink + enc.nodes.value().data()[0];
     }
-    return watch.ElapsedMillis();
   };
-  const auto incremental_stream_ms = [&] {
+  const auto incremental_stream = [&] {
     ArenaGuard arena;
     core::LevelEncodeCache cache;
     core::EncodePlan plan(kEndNodes, config.hidden_dim);
-    Stopwatch watch;
+    bool delta_used = false;
     for (int i = 0; i < steps; ++i) {
-      core::EncodedLevel enc;
-      bool served = false;
-      if (i > 0) {
-        const graph::LevelGraphDelta delta =
-            graph::DiffLevelGraph(stream[i - 1], stream[i]);
-        std::optional<core::EncodedLevel> d = encoder.EncodeDelta(
-            stream[i], stream[i - 1], delta, global, &plan, &cache);
-        if (d.has_value()) {
-          enc = std::move(*d);
-          served = true;
-        }
-      }
-      if (!served) {
-        enc = encoder.EncodeFastCached(stream[i], global, &plan, &cache);
-      }
+      core::EncodedLevel enc = session_step(i, &cache, &plan, &delta_used);
       g_sink = g_sink + enc.nodes.value().data()[0];
     }
-    return watch.ElapsedMillis();
   };
-
-  full_stream_ms();         // warm-up (pool free lists, branch predictors)
-  incremental_stream_ms();  // warm-up
-  double full_ms = 0;
-  double incr_ms = 0;
-  for (int r = 0; r < rounds; ++r) {
-    const double f = full_stream_ms();
-    const double d = incremental_stream_ms();
-    if (r == 0 || f < full_ms) full_ms = f;
-    if (r == 0 || d < incr_ms) incr_ms = d;
-  }
-  const double speedup = incr_ms > 0 ? full_ms / incr_ms : 0.0;
+  const bench::AbTiming timing =
+      bench::MeasureAb(full_stream, incremental_stream, rounds);
+  const double full_ms = timing.a_ms.median;
+  const double incr_ms = timing.b_ms.median;
+  const double speedup = timing.ratio.median;
 
   std::printf("incremental encode, arrival stream n=%d..%d (%d steps, %d "
               "rounds, hidden %d, %d heads, %d layers)\n",
@@ -237,10 +210,10 @@ int main(int argc, char** argv) {
               full_ms, full_ms / steps);
   std::printf("  incremental:    %9.3f ms/stream (%.4f ms/arrival)\n",
               incr_ms, incr_ms / steps);
-  std::printf("  speedup: %.2fx (floor %.2fx)  delta steps: %d/%d  "
-              "fallbacks: %d  identical: %s\n",
-              speedup, min_speedup, delta_steps, steps - 1, fallback_steps,
-              identical ? "yes" : "NO");
+  std::printf("  speedup: %.2fx (IQR %.2fx, floor %.2fx)  delta steps: "
+              "%d/%d  fallbacks: %d  identical: %s\n",
+              speedup, timing.ratio.iqr(), kMinSpeedup, delta_steps,
+              steps - 1, fallback_steps, identical ? "yes" : "NO");
 
   bench::JsonValue doc =
       bench::JsonValue::Object()
@@ -254,8 +227,12 @@ int main(int argc, char** argv) {
           .Set("num_layers", bench::JsonValue::Int(config.num_layers))
           .Set("full_stream_ms", bench::JsonValue::Number(full_ms))
           .Set("incremental_stream_ms", bench::JsonValue::Number(incr_ms))
+          .Set("full_min_ms", bench::JsonValue::Number(timing.a_ms.min))
+          .Set("incremental_min_ms",
+               bench::JsonValue::Number(timing.b_ms.min))
           .Set("speedup", bench::JsonValue::Number(speedup))
-          .Set("min_speedup", bench::JsonValue::Number(min_speedup))
+          .Set("speedup_iqr", bench::JsonValue::Number(timing.ratio.iqr()))
+          .Set("min_speedup", bench::JsonValue::Number(kMinSpeedup))
           .Set("delta_steps", bench::JsonValue::Int(delta_steps))
           .Set("fallback_steps", bench::JsonValue::Int(fallback_steps))
           .Set("outputs_identical", bench::JsonValue::Bool(identical));
@@ -273,9 +250,9 @@ int main(int argc, char** argv) {
                  delta_steps, steps - 1);
     ok = false;
   }
-  if (smoke && speedup < min_speedup) {
+  if (smoke && speedup < kMinSpeedup) {
     std::fprintf(stderr, "FAIL: amortized speedup %.2fx < required %.2fx\n",
-                 speedup, min_speedup);
+                 speedup, kMinSpeedup);
     ok = false;
   }
   if (!ok) return 1;

@@ -59,16 +59,10 @@ struct ModelConfig {
   bool use_uncertainty_weighting = true;
 
   // --- Serving ---
-  /// Route no-grad Predict() encodes through the fused fast path (an
-  /// EncodePlan per request). Outputs are bitwise-identical either way;
-  /// this is the A/B kill switch for bench_encode_fastpath and the
-  /// parity suite.
-  bool encode_fast_path = true;
-  /// Kill switch for the delta-aware encode sessions: with it off,
-  /// PredictIncremental always re-encodes from scratch (bitwise-identical
-  /// either way — the delta path is an arithmetic shortcut, not a model
-  /// change). Requires encode_fast_path and the GAT-e encoder to engage.
-  bool incremental_encode = true;
+  // No-grad Predict() and PredictIncremental() encode through the fused
+  // GAT-e layer kernel, bitwise-identical to the autograd encode that
+  // grad mode and the BiLSTM ablation take; whether a service uses
+  // encode sessions is serve::ServingConfig::encode_sessions.enabled.
   /// Staleness policy: every k-th prediction through a session performs
   /// a full re-encode even when a delta would apply, bounding how long
   /// any cached representation chain can grow. 1 disables deltas

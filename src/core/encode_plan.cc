@@ -52,13 +52,4 @@ void EncodePlan::ReserveHeads(int num_heads) {
   edge_tile = edge_w + d * w;
 }
 
-void EncodePlan::AddResiduals(Matrix* h, Matrix* z) const {
-  float* hd = h->data();
-  const float* no = node_out.data();
-  for (size_t t = 0, nd = h->size(); t < nd; ++t) hd[t] += no[t];
-  float* zd = z->data();
-  const float* eo = edge_out.data();
-  for (size_t t = 0, nnd = z->size(); t < nnd; ++t) zd[t] += eo[t];
-}
-
 }  // namespace m2g::core

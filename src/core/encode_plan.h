@@ -16,11 +16,11 @@ namespace m2g::core {
 /// Per-head buffers (wh, msg, and each head's slice of nw4, nw5) are
 /// packed at the head's output width dh (hidden/P on hidden layers,
 /// hidden on the last), so a (max_nodes, hidden_dim) slice covers both
-/// layer kinds. The buffers ForwardFast fills for all P heads at once
-/// (nw4, nw5, s_edge, edge_w, edge_tile) are views into one pooled
-/// block that ReserveHeads sizes, which both GAT-e fast entry points
-/// call with the layer's P. One block keeps the request's pool traffic
-/// at one buffer whatever the graph size.
+/// layer kinds. The buffers GatELayer::ForwardFast fills for all P heads
+/// at once (nw4, nw5, s_edge, edge_w, edge_tile) are views into one
+/// pooled block that ReserveHeads sizes, which ForwardFast calls with
+/// the layer's P. One block keeps the request's pool traffic at one
+/// buffer whatever the graph size.
 struct EncodePlan {
   /// Builds the scratch for graphs of up to `max_nodes` nodes at encoder
   /// width `hidden_dim`. Records the encode.plan_build.ms span and the
@@ -35,12 +35,6 @@ struct EncodePlan {
   /// large, so a plan reused across layers and levels allocates it once.
   void ReserveHeads(int num_heads);
 
-  /// The in-place residuals closing a fast GAT-e layer: h += node_out
-  /// and z += edge_out over h's and z's sizes — the same elementwise
-  /// ascending order as the legacy Add's copy + AddInPlace, minus the
-  /// copies.
-  void AddResiduals(Matrix* h, Matrix* z) const;
-
   int max_nodes = 0;
   int hidden_dim = 0;
   int head_capacity = 0;  // heads the all-heads block holds
@@ -54,7 +48,8 @@ struct EncodePlan {
   Matrix heads_block;
   float* nw4 = nullptr;        // (P * max_n, d) nodes * W4 per head
   float* nw5 = nullptr;        // (P * max_n, d) nodes * W5 per head
-  float* s_edge = nullptr;     // (P * max_n^2)  edges * ae per head
+  float* s_edge = nullptr;     // (P * max_n^2)  edges * ae per head,
+                               // when no session cache holds it
   float* edge_w = nullptr;     // (d, w)     [W3 of each head | ae of each]
   float* edge_tile = nullptr;  // (max_n, w) one attention row's pairs * edge_w
   Matrix logits;    // (1, max_n)    one attention row's logits

@@ -1,6 +1,7 @@
 #include "core/encoder.h"
 
 #include "common/string_util.h"
+#include "core/incremental_encode.h"
 #include "tensor/grad_mode.h"
 
 namespace m2g::core {
@@ -42,12 +43,17 @@ EncodedLevel LevelEncoder::Encode(const graph::LevelGraph& level,
   return EncodeLegacy(level, global_embed);
 }
 
-EncodedLevel LevelEncoder::EncodeLegacy(const graph::LevelGraph& level,
-                                        const Tensor& global_embed) const {
+Tensor LevelEncoder::EmbedNodes(const graph::LevelGraph& level,
+                                const Tensor& global_embed) const {
   Tensor nodes = feature_embed_->EmbedNodes(level);
   // Concatenate the global/courier vector onto every node (§IV-B).
-  nodes = input_proj_->Forward(
+  return input_proj_->Forward(
       ConcatCols(nodes, BroadcastRows(global_embed, level.n)));
+}
+
+EncodedLevel LevelEncoder::EncodeLegacy(const graph::LevelGraph& level,
+                                        const Tensor& global_embed) const {
+  Tensor nodes = EmbedNodes(level, global_embed);
   if (use_graph_) {
     Tensor edges = feature_embed_->EmbedEdges(level);
     return EncodeWithGat(nodes, edges, level.adjacency);
@@ -60,23 +66,54 @@ EncodedLevel LevelEncoder::EncodeFast(const graph::LevelGraph& level,
                                       EncodePlan* plan) const {
   M2G_CHECK(use_graph_);
   M2G_CHECK(!GradMode::enabled());
-  M2G_CHECK_GE(plan->max_nodes, level.n);
   // Embeddings and the input projection stay on the op layer: under
   // no-grad they already fold to constants, and they are O(n d^2) —
   // fusing them would not move the n^2 d^2 needle the GAT stack does.
-  Tensor nodes = feature_embed_->EmbedNodes(level);
-  nodes = input_proj_->Forward(
-      ConcatCols(nodes, BroadcastRows(global_embed, level.n)));
-  Tensor edges = feature_embed_->EmbedEdges(level);
-  // Running representations, mutated in place across layers; the copies
-  // draw from the pool and become the returned tensors' storage.
-  Matrix h = nodes.value();
-  Matrix z = edges.value();
-  for (const auto& layer : layers_) {
-    layer->ForwardFast(h, z, level.adjacency, plan);
-    plan->AddResiduals(&h, &z);
-  }
+  // The running representations are copies that draw from the pool,
+  // mutated in place across layers, and become the returned tensors'
+  // storage.
+  Matrix h = EmbedNodes(level, global_embed).value();
+  Matrix z = feature_embed_->EmbedEdges(level).value();
+  ForwardLayers(level, h.data(), z.data(), nullptr, nullptr, plan);
   return {Tensor::Constant(std::move(h)), Tensor::Constant(std::move(z))};
+}
+
+void LevelEncoder::ForwardLayers(const graph::LevelGraph& level, float* h,
+                                 float* z, LevelEncodeCache* cache,
+                                 DirtySets* dirty, EncodePlan* plan) const {
+  for (size_t l = 0; l < layers_.size(); ++l) {
+    GatEFastArgs args;
+    args.n = level.n;
+    args.adjacency = &level.adjacency;
+    if (cache == nullptr) {
+      args.block = level.n;
+      args.h_in = args.h_out = h;
+      args.z_in = args.z_out = z;
+    } else {
+      const size_t heads = layers_[l]->num_heads();
+      args.block = cache->cap;
+      args.h_in = cache->h[l].data();
+      args.z_in = cache->z[l].data();
+      args.h_out = cache->h[l + 1].data();
+      args.z_out = cache->z[l + 1].data();
+      args.ew3 = &cache->ew3[l * heads];
+      args.se = &cache->se[l * heads];
+    }
+    if (dirty != nullptr) {
+      args.node_dirty = dirty->node.data();
+      args.pair_dirty = dirty->pair.data();
+      args.row_changed = dirty->row_changed.data();
+      args.fresh = dirty->fresh.data();
+      args.out_node_dirty = dirty->out_node.data();
+      args.out_pair_dirty = dirty->out_pair.data();
+    }
+    layers_[l]->ForwardFast(args, plan);
+    if (dirty != nullptr) {
+      // Each layer's changed outputs are the next layer's dirty inputs.
+      dirty->node.swap(dirty->out_node);
+      dirty->pair.swap(dirty->out_pair);
+    }
+  }
 }
 
 EncodedLevel LevelEncoder::EncodeWithGat(

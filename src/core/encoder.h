@@ -38,32 +38,32 @@ class LevelEncoder : public nn::Module {
 
   /// Encodes one level. With a non-null `plan`, the GAT-e variant
   /// configured, and gradients disabled on the calling thread, the
-  /// fused no-grad fast path (EncodeFast) runs through the plan's
-  /// scratch; every other combination dispatches to EncodeLegacy. The
-  /// two paths are bitwise-identical (encode_parity_test).
+  /// no-grad kernel (EncodeFast) runs through the plan's scratch; every
+  /// other combination dispatches to EncodeLegacy. The two paths are
+  /// bitwise-identical (encode_parity_test).
   EncodedLevel Encode(const graph::LevelGraph& level,
                       const Tensor& global_embed,
                       EncodePlan* plan = nullptr) const;
 
   /// Reference autograd path: the training encode, and the baseline the
-  /// parity suite and bench_encode_fastpath A/B against.
+  /// parity suites and bench_encode_fastpath compare against.
   EncodedLevel EncodeLegacy(const graph::LevelGraph& level,
                             const Tensor& global_embed) const;
 
-  /// Fused no-grad fast path: embeddings and the input projection run
+  /// Stateless no-grad encode: embeddings and the input projection run
   /// through the (constant-folded) ops, then every GAT-e layer through
-  /// GatELayer::ForwardFast with in-place residuals on pool-backed
-  /// buffers — zero autograd nodes and zero (n^2, d) op temporaries.
-  /// Requires GradMode disabled and the GAT-e variant.
+  /// GatELayer::ForwardFast in place on pool-backed buffers — zero
+  /// autograd nodes and zero (n^2, d) op temporaries. Requires GradMode
+  /// disabled and the GAT-e variant.
   EncodedLevel EncodeFast(const graph::LevelGraph& level,
                           const Tensor& global_embed,
                           EncodePlan* plan) const;
 
-  /// EncodeFast that also warms an encode-session cache: per-layer node
-  /// and edge representations plus the per-head z*W3 / s_edge
-  /// intermediates are snapshotted into `cache` (sized/grown here) as
-  /// the forward runs. The returned encodings are bitwise-identical to
-  /// EncodeFast — the cache writes are pure copies. Defined in
+  /// Full no-grad encode that warms an encode-session cache: the layers
+  /// read and write the per-layer node and edge representations and the
+  /// per-head z*W3 / s_edge intermediates straight in `cache` (sized or
+  /// grown here), and the returned encodings are copied out once at the
+  /// end. Bitwise-identical to EncodeFast. Defined in
   /// core/incremental_encode.cc.
   EncodedLevel EncodeFastCached(const graph::LevelGraph& level,
                                 const Tensor& global_embed,
@@ -71,9 +71,9 @@ class LevelEncoder : public nn::Module {
                                 LevelEncodeCache* cache) const;
 
   /// Incremental re-encode against a warm cache: `delta` describes how
-  /// `level` evolved from `prev` (the graph `cache` encodes), and only
-  /// the attention rows / edge pairs whose inputs or masks changed are
-  /// recomputed per GAT-e layer. On success the cache is advanced to
+  /// `level` evolved from `prev` (the graph `cache` encodes), and the
+  /// same layer kernel recomputes only the attention rows / edge pairs
+  /// whose inputs or masks changed. On success the cache is advanced to
   /// `level` and the returned encodings are bitwise-identical to
   /// EncodeFast(level, ...). Returns nullopt — cache contents then
   /// unspecified, caller must full-encode — when the delta is not
@@ -88,6 +88,29 @@ class LevelEncoder : public nn::Module {
                                           LevelEncodeCache* cache) const;
 
  private:
+  /// Dirty sets of an incremental step (see GatEFastArgs): layer 0's
+  /// inputs on entry; ForwardLayers advances node/pair to each layer's
+  /// outputs.
+  struct DirtySets {
+    std::vector<unsigned char> node, pair, row_changed, fresh;
+    std::vector<unsigned char> out_node, out_pair;
+  };
+
+  /// Node embeddings with the global vector concatenated and projected
+  /// back to hidden_dim (Eq. 18 + §IV-B): the first layer's input.
+  Tensor EmbedNodes(const graph::LevelGraph& level,
+                    const Tensor& global_embed) const;
+
+  /// The no-grad layer loop: every GAT-e layer through
+  /// GatELayer::ForwardFast. Without a cache the layers run in place on
+  /// the dense (n, d) rows `h` and (n*n, d) rows `z`; with one, layer l
+  /// reads cache->h[l]/z[l], writes cache->h[l+1]/z[l+1] and feeds the
+  /// layer's per-head ew3/se, all at the cache's pair stride. `dirty`,
+  /// when given, limits every layer to what changed.
+  void ForwardLayers(const graph::LevelGraph& level, float* h, float* z,
+                     LevelEncodeCache* cache, DirtySets* dirty,
+                     EncodePlan* plan) const;
+
   EncodedLevel EncodeWithGat(const Tensor& nodes, const Tensor& edges,
                              const std::vector<bool>& adjacency) const;
   Tensor EncodeWithBiLstm(const Tensor& nodes) const;

@@ -142,21 +142,57 @@ GatEOutput GatELayer::Forward(const Tensor& nodes, const Tensor& edges,
   return out;
 }
 
-void GatELayer::ForwardFast(const Matrix& nodes, const Matrix& edges,
-                            const std::vector<bool>& adjacency,
-                            EncodePlan* plan, GatECapture* capture) const {
+void GatELayer::ForwardFast(const GatEFastArgs& a, EncodePlan* plan) const {
   const int d = hidden_dim_;
   const int dh = head_dim_;
-  const int n = nodes.rows();
+  const int n = a.n;
+  const size_t block = a.block;
+  const size_t nn = static_cast<size_t>(n) * n;
   M2G_CHECK(!GradMode::enabled());
   M2G_CHECK_EQ(plan->hidden_dim, d);
-  M2G_CHECK_EQ(nodes.cols(), d);
-  M2G_CHECK_EQ(edges.rows(), n * n);
-  M2G_CHECK_EQ(edges.cols(), d);
-  M2G_CHECK_EQ(adjacency.size(), static_cast<size_t>(n) * n);
   M2G_CHECK_GE(plan->max_nodes, n);
+  M2G_CHECK_GE(a.block, n);
+  M2G_CHECK_EQ(a.adjacency->size(), nn);
+  // Without a cache nothing can be reused: every pair is recomputed and
+  // s_edge lives in the plan, packed at stride n.
+  M2G_CHECK((a.ew3 != nullptr && a.se != nullptr) ||
+            (a.block == n && a.node_dirty == nullptr &&
+             a.pair_dirty == nullptr));
   FastLayerCounter().Increment();
   plan->ReserveHeads(num_heads_);
+  const std::vector<bool>& adjacency = *a.adjacency;
+  // A null flag array marks every entry dirty.
+  const auto dirty = [](const unsigned char* flags, size_t k) {
+    return flags == nullptr || flags[k] != 0;
+  };
+
+  // Attention rows to rerun: a row's alpha depends on its mask
+  // membership, its own projections (s_src[i], and the msg rows it
+  // aggregates), s_dst / msg of every unmasked neighbour, and the s_edge
+  // entries of its unmasked columns (which follow the pair's z). A row
+  // where none of those changed keeps its cached aggregate bit for bit
+  // — even across an insertion whose new column is masked out, because
+  // MaskedSoftmaxRowRaw writes exact zeros for masked entries and
+  // AccumulateRowMatMul skips zero coefficients.
+  std::vector<unsigned char> row_rec(n);
+  for (int i = 0; i < n; ++i) {
+    const size_t base = static_cast<size_t>(i) * n;
+    bool rec = dirty(a.row_changed, i) || dirty(a.node_dirty, i);
+    for (int j = 0; j < n && !rec; ++j) {
+      rec = adjacency[base + j] &&
+            (dirty(a.node_dirty, j) || dirty(a.pair_dirty, base + j));
+    }
+    row_rec[i] = rec ? 1 : 0;
+  }
+  // Edge pairs: Eq. 23 reads z_ij, h_i and h_j (no mask). A pair whose z
+  // changed recomputes z*W3 and s_edge; one with a clean z but a changed
+  // endpoint reruns only the epilogue, on the cached z*W3.
+  enum PairWork { kClean, kEpilogue, kFull };
+  const auto pair_work = [&](int i, int j) {
+    if (dirty(a.pair_dirty, static_cast<size_t>(i) * n + j)) return kFull;
+    return dirty(a.node_dirty, i) || dirty(a.node_dirty, j) ? kEpilogue
+                                                            : kClean;
+  };
 
   const int heads = num_heads_;
   const bool last = is_last_;
@@ -170,19 +206,21 @@ void GatELayer::ForwardFast(const Matrix& nodes, const Matrix& edges,
   float* edge_out = plan->edge_out.data();
   float* s_src = plan->s_src.data();
   float* s_dst = plan->s_dst.data();
-  float* s_edge = plan->s_edge;  // head p at p * n^2
   float* wh = plan->wh.data();
   float* msg = plan->msg.data();
   float* nw4 = plan->nw4;  // head p at p * n * dh
   float* nw5 = plan->nw5;
-  const size_t nn = static_cast<size_t>(n) * n;
+  const auto se_of = [&](int p) {
+    return a.se != nullptr ? a.se[p].data() : plan->s_edge + p * nn;
+  };
 
   // Every matmul and logit kernel below dispatches through the runtime
   // SIMD tier (tensor/simd.h) — bitwise-identical on every tier — and
   // MatMulInto is the dispatcher MatMulRaw runs on the legacy graph, so
-  // every row takes the path the legacy MatMul took for it. Each output
-  // column of a product is its own accumulation chain, so stacking the
-  // heads' weights side by side changes no bit of any head's columns.
+  // every row takes the path the legacy MatMul took for it. Each row and
+  // each output column of a product is its own accumulation chain, so
+  // multiplying any subset of rows, or stacking the heads' weights side
+  // by side, changes no bit of any row's columns.
   //
   // Eq. 23 node terms, hoisted out of the n^2 edge loop: the legacy
   // MatMul(GatherRows(nodes, idx), W) accumulates every gathered row
@@ -194,9 +232,9 @@ void GatELayer::ForwardFast(const Matrix& nodes, const Matrix& edges,
   float* edge_w = plan->edge_w;
   for (int p = 0; p < heads; ++p) {
     const Head& head = heads_[p];
-    MatMulInto(nodes.data(), n, d, head.w4.value().data(), dh,
+    MatMulInto(a.h_in, n, d, head.w4.value().data(), dh,
                nw4 + static_cast<size_t>(p) * n * dh);
-    MatMulInto(nodes.data(), n, d, head.w5.value().data(), dh,
+    MatMulInto(a.h_in, n, d, head.w5.value().data(), dh,
                nw5 + static_cast<size_t>(p) * n * dh);
     const float* w3 = head.w3.value().data();
     const float* ae = head.ae.value().data();
@@ -208,71 +246,78 @@ void GatELayer::ForwardFast(const Matrix& nodes, const Matrix& edges,
     }
   }
 
-  // Edge pass, one attention row's n pairs at a time: pair rows i*n ..
-  // i*n+n-1 of z are contiguous, so one MatMulInto (row-block kernel)
-  // yields every head's z*W3 (Eq. 23) and z*ae (the Eq. 20 s_edge term)
-  // for them while the rows are hot. The epilogue keeps the legacy
-  // association order ew3 + (w4-term + w5-term); on the last layer the
-  // heads accumulate in ascending order and the 1/P average (Eq. 26)
-  // follows once all P are in.
+  // Edge pass, one attention row at a time, over runs of consecutive
+  // pairs that need the same work. Pair rows i*block + j of z are
+  // contiguous in j, so one MatMulInto (row-block kernel) yields every
+  // head's z*W3 (Eq. 23) and z*ae (the Eq. 20 s_edge term) for a run
+  // while its rows are hot. The epilogue keeps the legacy association
+  // order ew3 + (w4-term + w5-term); on the last layer the heads
+  // accumulate in ascending order and the 1/P average (Eq. 26) follows
+  // once all P are in.
   float* tile = plan->edge_tile;
   for (int i = 0; i < n; ++i) {
-    const size_t r0 = static_cast<size_t>(i) * n;
-    MatMulInto(edges.data() + r0 * d, n, d, edge_w, ew, tile);
-    float* out = edge_out + r0 * d;
-    for (int p = 0; p < heads; ++p) {
-      float* se = s_edge + p * nn + r0;
-      for (int j = 0; j < n; ++j) {
-        se[j] = tile[static_cast<size_t>(j) * ew + heads * dh + p];
+    const size_t pbase = static_cast<size_t>(i) * block;
+    for (int j = 0, end; j < n; j = end) {
+      const PairWork work = pair_work(i, j);
+      for (end = j + 1; end < n && pair_work(i, end) == work; ++end) {
       }
-      const float* e3 = tile + p * dh;
-      if (capture != nullptr) {
-        // e3 holds exactly z_ij * W3 (pre-epilogue): the value the delta
-        // path caches per (layer, head, pair).
-        float* cached =
-            capture->ew3[p] + static_cast<size_t>(i) * capture->block * dh;
-        for (int j = 0; j < n; ++j) {
-          std::copy(e3 + static_cast<size_t>(j) * ew,
-                    e3 + static_cast<size_t>(j) * ew + dh,
-                    cached + static_cast<size_t>(j) * dh);
+      if (work == kClean) continue;
+      const int len = end - j;
+      float* out = edge_out + (static_cast<size_t>(i) * n + j) * d;
+      if (work == kFull) {
+        MatMulInto(a.z_in + (pbase + j) * d, len, d, edge_w, ew, tile);
+      }
+      for (int p = 0; p < heads; ++p) {
+        // The cache row holds exactly z_ij * W3 (pre-epilogue).
+        float* cached = a.ew3 != nullptr
+                            ? a.ew3[p].data() + (pbase + j) * dh
+                            : nullptr;
+        const float* e3 = tile + p * dh;
+        size_t e3_stride = ew;
+        if (work == kFull) {
+          float* se = se_of(p) + pbase + j;
+          for (int t = 0; t < len; ++t) {
+            se[t] = tile[static_cast<size_t>(t) * ew + heads * dh + p];
+            if (cached != nullptr) {
+              std::copy(e3 + static_cast<size_t>(t) * ew,
+                        e3 + static_cast<size_t>(t) * ew + dh,
+                        cached + static_cast<size_t>(t) * dh);
+            }
+          }
+        } else {
+          e3 = cached;
+          e3_stride = dh;
         }
+        simd::EdgeEpilogue(e3, e3_stride,
+                           nw4 + (static_cast<size_t>(p) * n + i) * dh,
+                           nw5 + (static_cast<size_t>(p) * n + j) * dh, len,
+                           dh, out + col0(p), d, last && p > 0);
       }
-      simd::EdgeEpilogue(e3, ew, nw4 + (static_cast<size_t>(p) * n + i) * dh,
-                         nw5 + static_cast<size_t>(p) * n * dh, n, dh,
-                         out + col0(p), d, last && p > 0);
-    }
-    if (last) {
-      for (size_t t = 0, end = static_cast<size_t>(n) * d; t < end; ++t) {
-        out[t] *= inv;
+      if (last) {
+        for (size_t t = 0, e = static_cast<size_t>(len) * d; t < e; ++t) {
+          out[t] *= inv;
+        }
       }
     }
   }
 
   for (int p = 0; p < heads; ++p) {
     const Head& head = heads_[p];
-    const float* se = s_edge + p * nn;
-    if (capture != nullptr) {
-      // Donate this head's s_edge column to the session cache, re-laid
-      // from dense (i*n + j) rows to padded (i*block + j) rows.
-      for (int i = 0; i < n; ++i) {
-        std::copy(se + static_cast<size_t>(i) * n,
-                  se + static_cast<size_t>(i) * n + n,
-                  capture->se[p] + static_cast<size_t>(i) * capture->block);
-      }
-    }
+    const float* se = se_of(p);
     // Eq. 20/22 projections, then the attention rows: logits -> masked
     // softmax -> aggregation, fused (Eq. 20-22), no (1, n) or (1, dh)
-    // temporaries.
-    MatMulInto(nodes.data(), n, d, head.w1.value().data(), dh, wh);
+    // temporaries. Per-node projections run over all n rows: they are
+    // O(n d dh), noise next to the n^2 terms.
+    MatMulInto(a.h_in, n, d, head.w1.value().data(), dh, wh);
     MatMulInto(wh, n, dh, head.av_src.value().data(), 1, s_src);
     MatMulInto(wh, n, dh, head.av_dst.value().data(), 1, s_dst);
-    MatMulInto(nodes.data(), n, d, head.w2.value().data(), dh, msg);
+    MatMulInto(a.h_in, n, d, head.w2.value().data(), dh, msg);
     for (int i = 0; i < n; ++i) {
-      const size_t base = static_cast<size_t>(i) * n;
-      GatLogitsRow(s_dst, se + base, s_src[i], leaky_slope_, n,
-                   plan->logits.data());
-      MaskedSoftmaxRowRaw(plan->logits.data(), adjacency, base, n,
-                          plan->alpha.data());
+      if (!row_rec[i]) continue;
+      GatLogitsRow(s_dst, se + static_cast<size_t>(i) * block, s_src[i],
+                   leaky_slope_, n, plan->logits.data());
+      MaskedSoftmaxRowRaw(plan->logits.data(), adjacency,
+                          static_cast<size_t>(i) * n, n, plan->alpha.data());
       float* dst = (last && p > 0)
                        ? plan->row.data()
                        : node_out + static_cast<size_t>(i) * d + col0(p);
@@ -292,153 +337,6 @@ void GatELayer::ForwardFast(const Matrix& nodes, const Matrix& edges,
   if (last) {
     // Eq. 26 node epilogue: scale the head sums by 1/P, then the delayed
     // ReLU.
-    for (size_t t = 0, end = static_cast<size_t>(n) * d; t < end; ++t) {
-      const float v = node_out[t] * inv;
-      node_out[t] = v > 0.0f ? v : 0.0f;
-    }
-  }
-}
-
-void GatELayer::ForwardFastDelta(GatEDeltaItem* item,
-                                 EncodePlan* plan) const {
-  const int d = hidden_dim_;
-  const int dh = head_dim_;
-  const int n = item->n;
-  const int block = item->block;
-  M2G_CHECK(!GradMode::enabled());
-  M2G_CHECK_EQ(plan->hidden_dim, d);
-  M2G_CHECK_GE(plan->max_nodes, n);
-  M2G_CHECK_GE(block, n);
-  M2G_CHECK_EQ(item->adjacency->size(), static_cast<size_t>(n) * n);
-  plan->ReserveHeads(num_heads_);
-  const std::vector<bool>& adjacency = *item->adjacency;
-
-  // Which attention rows must rerun: a row's alpha depends on its mask
-  // membership, its own projections (s_src[i], and msg rows it
-  // aggregates), s_dst / msg of every unmasked neighbour, and the s_edge
-  // entries of its unmasked columns (which follow the pair's z). Rows
-  // where none of those changed keep their cached aggregate bit for bit
-  // — including across an insertion whose new column is masked out,
-  // because MaskedSoftmaxRowRaw writes exact zeros for masked entries
-  // and AccumulateRowMatMul skips zero coefficients.
-  std::vector<unsigned char> row_rec(n, 0);
-  for (int i = 0; i < n; ++i) {
-    if (item->row_changed[i] || item->node_dirty[i]) {
-      row_rec[i] = 1;
-      continue;
-    }
-    const size_t base = static_cast<size_t>(i) * n;
-    for (int j = 0; j < n; ++j) {
-      if (adjacency[base + j] &&
-          (item->node_dirty[j] || item->pair_dirty[base + j])) {
-        row_rec[i] = 1;
-        break;
-      }
-    }
-  }
-  // Which edge pairs must rerun: Eq. 23 reads z_ij, h_i and h_j (no
-  // mask), so a pair reruns iff any of the three changed.
-  std::vector<unsigned char> pair_rec(static_cast<size_t>(n) * n, 0);
-  for (int i = 0; i < n; ++i) {
-    const size_t base = static_cast<size_t>(i) * n;
-    for (int j = 0; j < n; ++j) {
-      pair_rec[base + j] = (item->pair_dirty[base + j] ||
-                            item->node_dirty[i] || item->node_dirty[j])
-                               ? 1
-                               : 0;
-    }
-  }
-
-  const bool last = is_last_;
-  float* node_out = plan->node_out.data();
-  float* edge_out = plan->edge_out.data();
-  for (int p = 0; p < num_heads_; ++p) {
-    const Head& head = heads_[p];
-    // Per-node projections are recomputed in full: they are O(n d dh) —
-    // noise next to the n^2 terms — and a full MatMulInto reproduces the
-    // warm forward's bits for clean rows for free.
-    MatMulInto(item->h_in, n, d, head.w1.value().data(), dh,
-               plan->wh.data());
-    MatMulInto(plan->wh.data(), n, dh, head.av_src.value().data(), 1,
-               plan->s_src.data());
-    MatMulInto(plan->wh.data(), n, dh, head.av_dst.value().data(), 1,
-               plan->s_dst.data());
-    MatMulInto(item->h_in, n, d, head.w2.value().data(), dh,
-               plan->msg.data());
-    MatMulInto(item->h_in, n, d, head.w4.value().data(), dh, plan->nw4);
-    MatMulInto(item->h_in, n, d, head.w5.value().data(), dh, plan->nw5);
-    const float* s_src = plan->s_src.data();
-    const float* s_dst = plan->s_dst.data();
-    const float* msg = plan->msg.data();
-    const float* nw4 = plan->nw4;
-    const float* nw5 = plan->nw5;
-
-    // s_edge updates for pairs whose z_l changed (one row of the full
-    // product: zeroed accumulator + AccumulateRowMatMul — MatMulInto's
-    // exact bits for that row).
-    float* se = item->se[p];
-    for (int i = 0; i < n; ++i) {
-      const size_t base = static_cast<size_t>(i) * n;
-      const size_t pbase = static_cast<size_t>(i) * block;
-      for (int j = 0; j < n; ++j) {
-        if (!item->pair_dirty[base + j]) continue;
-        float* dst = se + pbase + j;
-        *dst = 0.0f;
-        AccumulateRowMatMul(item->z_in + (pbase + j) * d, d,
-                            head.ae.value().data(), 1, dst);
-      }
-    }
-
-    const int col0 = last ? 0 : p * dh;
-    // Attention rows (Eq. 20-22), only the recompute set; cached rows of
-    // h_out are left untouched.
-    for (int i = 0; i < n; ++i) {
-      if (!row_rec[i]) continue;
-      const size_t base = static_cast<size_t>(i) * n;
-      GatLogitsRow(s_dst, se + static_cast<size_t>(i) * block, s_src[i],
-                   leaky_slope_, n, plan->logits.data());
-      MaskedSoftmaxRowRaw(plan->logits.data(), adjacency, base, n,
-                          plan->alpha.data());
-      float* dst = (last && p > 0)
-                       ? plan->row.data()
-                       : node_out + static_cast<size_t>(i) * d + col0;
-      std::fill(dst, dst + dh, 0.0f);
-      AccumulateRowMatMul(plan->alpha.data(), n, msg, dh, dst);
-      if (!last) {
-        for (int c = 0; c < dh; ++c) {
-          dst[c] = dst[c] > 0.0f ? dst[c] : 0.0f;
-        }
-      } else if (p > 0) {
-        float* acc = node_out + static_cast<size_t>(i) * d;
-        for (int c = 0; c < dh; ++c) acc[c] += dst[c];
-      }
-    }
-
-    // Edge updates (Eq. 23/25), only the recompute set. Pairs with a
-    // clean z but a dirty endpoint reuse the cached z*W3 product and pay
-    // only the dh-wide epilogue.
-    for (int i = 0; i < n; ++i) {
-      const float* nw4_row = nw4 + static_cast<size_t>(i) * dh;
-      const size_t base = static_cast<size_t>(i) * n;
-      const size_t pbase = static_cast<size_t>(i) * block;
-      for (int j = 0; j < n; ++j) {
-        if (!pair_rec[base + j]) continue;
-        const size_t r = base + j;
-        float* e3 = item->ew3[p] + (pbase + j) * dh;
-        if (item->pair_dirty[r]) {
-          std::fill(e3, e3 + dh, 0.0f);
-          AccumulateRowMatMul(item->z_in + (pbase + j) * d, d,
-                              head.w3.value().data(), dh, e3);
-        }
-        simd::EdgeEpilogue(e3, dh, nw4_row, nw5 + static_cast<size_t>(j) * dh,
-                           1, dh, edge_out + r * d + col0, d, last && p > 0);
-      }
-    }
-  }
-
-  if (last) {
-    // Eq. 26 epilogue over the recomputed rows/pairs only.
-    const float inv = 1.0f / static_cast<float>(num_heads_);
     for (int i = 0; i < n; ++i) {
       if (!row_rec[i]) continue;
       float* row = node_out + static_cast<size_t>(i) * d;
@@ -447,52 +345,48 @@ void GatELayer::ForwardFastDelta(GatEDeltaItem* item,
         row[c] = v > 0.0f ? v : 0.0f;
       }
     }
-    for (size_t r = 0, nn = static_cast<size_t>(n) * n; r < nn; ++r) {
-      if (!pair_rec[r]) continue;
-      float* row = edge_out + r * d;
-      for (int c = 0; c < d; ++c) row[c] *= inv;
-    }
   }
 
-  // Residual + write-back: h_{l+1}[i] = h_l[i] + node_out[i] (the same
-  // per-element addition order as the full path's in-place residual).
-  // Each recomputed row is compared against its cached successor before
-  // overwrite so the next layer's dirty set stays tight; rows with no
-  // history (fresh nodes) are dirty by definition.
+  // Residual + write-back over the recompute sets: out = in + layer
+  // output, the legacy Add's per-element order. With out flags, the sum
+  // is compared against the row it replaces first, so the next layer's
+  // dirty set stays tight; rows with no history (fresh nodes) are dirty
+  // by definition.
   float* scratch = plan->row.data();  // (1, d); free after the head loop
+  const auto write_back = [&](const float* in, const float* delta,
+                              float* out, bool fresh,
+                              unsigned char* changed) {
+    if (changed == nullptr) {
+      for (int c = 0; c < d; ++c) out[c] = in[c] + delta[c];
+      return;
+    }
+    for (int c = 0; c < d; ++c) scratch[c] = in[c] + delta[c];
+    *changed = fresh || std::memcmp(scratch, out, sizeof(float) * d) != 0;
+    if (*changed) std::copy(scratch, scratch + d, out);
+  };
   for (int i = 0; i < n; ++i) {
+    unsigned char* changed =
+        a.out_node_dirty != nullptr ? a.out_node_dirty + i : nullptr;
     if (!row_rec[i]) {
-      item->out_node_dirty[i] = 0;
+      if (changed != nullptr) *changed = 0;
       continue;
     }
-    const float* hi = item->h_in + static_cast<size_t>(i) * d;
-    const float* no = node_out + static_cast<size_t>(i) * d;
-    for (int c = 0; c < d; ++c) scratch[c] = hi[c] + no[c];
-    float* cached = item->h_out + static_cast<size_t>(i) * d;
-    const bool dirty =
-        item->fresh[i] ||
-        std::memcmp(scratch, cached, sizeof(float) * d) != 0;
-    item->out_node_dirty[i] = dirty ? 1 : 0;
-    if (dirty) std::copy(scratch, scratch + d, cached);
+    const size_t r = static_cast<size_t>(i) * d;
+    write_back(a.h_in + r, node_out + r, a.h_out + r, dirty(a.fresh, i),
+               changed);
   }
   for (int i = 0; i < n; ++i) {
-    const size_t base = static_cast<size_t>(i) * n;
-    const size_t pbase = static_cast<size_t>(i) * block;
     for (int j = 0; j < n; ++j) {
-      const size_t r = base + j;
-      if (!pair_rec[r]) {
-        item->out_pair_dirty[r] = 0;
+      const size_t r = static_cast<size_t>(i) * n + j;
+      const size_t pr = (static_cast<size_t>(i) * block + j) * d;
+      unsigned char* changed =
+          a.out_pair_dirty != nullptr ? a.out_pair_dirty + r : nullptr;
+      if (pair_work(i, j) == kClean) {
+        if (changed != nullptr) *changed = 0;
         continue;
       }
-      const float* zi = item->z_in + (pbase + j) * d;
-      const float* eo = edge_out + r * d;
-      for (int c = 0; c < d; ++c) scratch[c] = zi[c] + eo[c];
-      float* cached = item->z_out + (pbase + j) * d;
-      const bool dirty =
-          item->fresh[i] || item->fresh[j] ||
-          std::memcmp(scratch, cached, sizeof(float) * d) != 0;
-      item->out_pair_dirty[r] = dirty ? 1 : 0;
-      if (dirty) std::copy(scratch, scratch + d, cached);
+      write_back(a.z_in + pr, edge_out + r * d, a.z_out + pr,
+                 dirty(a.fresh, i) || dirty(a.fresh, j), changed);
     }
   }
 }

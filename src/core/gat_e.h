@@ -17,42 +17,41 @@ struct GatEOutput {
   Tensor edges;  // (n*n, hidden_dim)
 };
 
-/// Destination buffers for the per-head intermediates a warming encode
-/// donates to an encode-session cache (core/incremental_encode): the
-/// Eq. 23 z*W3 product and the Eq. 20 s_edge column, per head, stored in
-/// row blocks of `block` entries so pair (i, j) lands at row i*block + j
-/// regardless of n. Capturing is a pure copy of values ForwardFast
-/// computes anyway — the forward's arithmetic and outputs are untouched.
-struct GatECapture {
-  int block = 0;               // pair-row stride, >= n
-  std::vector<float*> ew3;     // per head: rows of head_dim floats
-  std::vector<float*> se;      // per head: rows of 1 float
-};
-
-/// One level's slice of an incremental re-encode step
-/// (LevelEncoder::EncodeDelta): the layer's input/output node and edge
-/// representations live in an encode-session cache (padded pair stride
-/// `block`), and the dirty flags say which of them changed bitwise since
-/// the cached forward. ForwardFastDelta recomputes exactly the rows whose
-/// inputs (or softmax masks) changed and reuses every other cached value
-/// — reuse is bitwise-exact because every kernel involved is
-/// deterministic and row-local (see incremental_encode.cc).
-struct GatEDeltaItem {
+/// Inputs and outputs of one no-grad GAT-e layer pass
+/// (GatELayer::ForwardFast). Node buffers hold n rows of d floats; edge
+/// buffers hold pair (i, j) at row i*block + j. A stateless encode runs
+/// in place at block = n (h_out == h_in, z_out == z_in); an encode
+/// session (core/incremental_encode) reads layer l's rows from its cache
+/// and writes layer l+1's, at the cache's padded capacity.
+///
+/// Optional parts:
+///  * ew3/se: the session cache's per-head Eq. 23 z*W3 rows (head_dim
+///    floats) and Eq. 20 s_edge rows (1 float), num_heads consecutive
+///    matrices at the same pair stride. Recomputed pairs store into them;
+///    a pair whose z is clean but whose endpoint changed reads its z*W3
+///    back instead of recomputing it.
+///  * Dirty flags: which inputs changed bitwise since the cached forward.
+///    A null flag array means every entry is dirty, so with all of them
+///    null the pass is a full encode. Dirty flags require the cache.
+///  * Out flags: when given, each recomputed output row is compared with
+///    the row it overwrites, so the next layer's dirty set holds only
+///    rows that really changed.
+struct GatEFastArgs {
   int n = 0;
-  const std::vector<bool>* adjacency = nullptr;  // current graph's mask
-  const float* h_in = nullptr;   // (n, d) rows of the layer-input nodes
-  const float* z_in = nullptr;   // pair rows at stride `block`
-  float* h_out = nullptr;        // cached next-layer nodes, updated in place
-  float* z_out = nullptr;        // cached next-layer edges, updated in place
-  int block = 0;                 // pair-row stride of z/ew3/se buffers
-  std::vector<float*> ew3;       // per head: cached z_l * W3 rows, updated
-  std::vector<float*> se;        // per head: cached s_edge rows, updated
+  int block = 0;  // pair-row stride of z_in/z_out/ew3/se, >= n
+  const std::vector<bool>* adjacency = nullptr;  // n*n Eq. 15 mask
+  const float* h_in = nullptr;
+  const float* z_in = nullptr;
+  float* h_out = nullptr;
+  float* z_out = nullptr;
+  Matrix* ew3 = nullptr;  // first of num_heads per-head matrices
+  Matrix* se = nullptr;   // first of num_heads per-head matrices
   const unsigned char* node_dirty = nullptr;   // n: h_in row changed
   const unsigned char* pair_dirty = nullptr;   // n*n dense: z_in pair changed
-  const unsigned char* row_changed = nullptr;  // n: softmax mask membership changed
-  const unsigned char* fresh = nullptr;        // n: node has no cached history
+  const unsigned char* row_changed = nullptr;  // n: softmax mask changed
+  const unsigned char* fresh = nullptr;        // n: node has no history
   unsigned char* out_node_dirty = nullptr;     // n: h_out row changed
-  unsigned char* out_pair_dirty = nullptr;     // n*n dense: z_out pair changed
+  unsigned char* out_pair_dirty = nullptr;     // n*n dense: z_out changed
 };
 
 /// The paper's GAT-e module (Eq. 20-26): an edge-aware graph attention
@@ -67,39 +66,28 @@ class GatELayer : public nn::Module {
 
   /// `adjacency` is the n*n Eq. 15 connectivity (with self-loops); the
   /// attention softmax for node i runs over {j : adj[i*n+j]}. This is
-  /// the autograd path (training, and the fast path's parity reference);
-  /// it increments encode.legacy_layers.
+  /// the autograd path (training, and the no-grad kernel's parity
+  /// reference); it increments encode.legacy_layers.
   GatEOutput Forward(const Tensor& nodes, const Tensor& edges,
                      const std::vector<bool>& adjacency) const;
 
-  /// No-grad fast path: writes Forward(...)'s out.nodes into the first n
-  /// rows of plan->node_out and out.edges into the first n*n rows of
-  /// plan->edge_out — bit for bit — through fused raw kernels, with no
-  /// autograd nodes and no (n^2, d) per-head temporaries. The Eq. 23
-  /// node terms are hoisted to two (n, dh) products per head; the edge
-  /// terms run one attention row i at a time, its n pair rows times
-  /// every head's W3 and a_e (stacked in plan->edge_w) in one
-  /// MatMulInto into plan->edge_tile, then simd::EdgeEpilogue straight
-  /// into plan->edge_out; attention rows aggregate straight into the
+  /// The no-grad layer kernel: computes Forward(...)'s layer output for
+  /// the rows and pairs whose inputs changed (all of them when the args
+  /// carry no dirty flags) and writes h_out = h_in + nodes and
+  /// z_out = z_in + edges (the encoder's residual) for exactly those,
+  /// bit for bit the autograd path's values (encode_parity_test,
+  /// incremental_encode_test). Every other row keeps its cached value:
+  /// all kernels involved are deterministic and row-local.
+  ///
+  /// Fused raw kernels, no autograd nodes and no (n^2, d) per-head
+  /// temporaries. The Eq. 23 node terms are hoisted to two (n, dh)
+  /// products per head. Per attention row, each run of pairs with a
+  /// changed z goes through one MatMulInto against every head's W3 and
+  /// a_e (stacked in plan->edge_w) into plan->edge_tile, then
+  /// simd::EdgeEpilogue; attention rows aggregate straight into the
   /// packed multi-head node output. Requires GradMode disabled;
   /// increments encode.fast_layers.
-  ///
-  /// `capture`, when given, receives the per-head z*W3 and s_edge
-  /// intermediates — the warm-up donation for incremental re-encode.
-  /// Passing it changes no output bit.
-  void ForwardFast(const Matrix& nodes, const Matrix& edges,
-                   const std::vector<bool>& adjacency, EncodePlan* plan,
-                   GatECapture* capture = nullptr) const;
-
-  /// Incremental re-encode of one layer: recomputes attention rows whose
-  /// mask or inputs changed and edge pairs with a changed endpoint or
-  /// edge representation, reusing every other cached value bit for bit;
-  /// writes the surviving layer outputs into item->h_out/z_out in place
-  /// and reports which of them actually changed (out_*_dirty) so the
-  /// next layer's delta stays minimal. Bitwise-identical to running
-  /// ForwardFast on the full current inputs (incremental_encode_test).
-  /// Requires GradMode disabled.
-  void ForwardFastDelta(GatEDeltaItem* item, EncodePlan* plan) const;
+  void ForwardFast(const GatEFastArgs& args, EncodePlan* plan) const;
 
   int num_heads() const { return num_heads_; }
   /// Output width of one head: hidden/P on hidden layers, hidden on the

@@ -1,10 +1,11 @@
-// Incremental re-encode on order arrival: the delta side of the encode
-// fast path. A warm LevelEncodeCache holds every per-layer value a GAT-e
-// forward produced for a courier's last graph; when the next request's
-// graph differs by a single inserted/removed node (or pure feature drift
-// on an aligned node set), EncodeDelta recomputes only the attention
-// rows and edge pairs whose inputs or softmax masks changed and reuses
-// everything else byte for byte.
+// Incremental re-encode on order arrival. A warm LevelEncodeCache holds
+// every per-layer value a GAT-e forward produced for a courier's last
+// graph; when the next request's graph differs by a single
+// inserted/removed node (or pure feature drift on an aligned node set),
+// EncodeDelta hands the same no-grad layer kernel a full encode uses
+// (GatELayer::ForwardFast) the dirty sets, so it recomputes only the
+// attention rows and edge pairs whose inputs or softmax masks changed
+// and reuses everything else byte for byte.
 //
 // Why bitwise reuse is sound: every kernel on this path (MatMulInto /
 // AccumulateRowMatMul / GatLogitsRow / MaskedSoftmaxRowRaw) is
@@ -234,35 +235,15 @@ EncodedLevel LevelEncoder::EncodeFastCached(const graph::LevelGraph& level,
     }
   }
 
-  // The EncodeFast sequence, with the cache fed as the forward runs.
-  Tensor nodes = feature_embed_->EmbedNodes(level);
-  nodes = input_proj_->Forward(
-      ConcatCols(nodes, BroadcastRows(global_embed, n)));
-  Tensor edges = feature_embed_->EmbedEdges(level);
-  Matrix h = nodes.value();
-  Matrix z = edges.value();
-  std::memcpy(cache->h[0].data(), h.data(),
+  // The EncodeFast sequence, run on the cache's own buffers.
+  std::memcpy(cache->h[0].data(),
+              EmbedNodes(level, global_embed).value().data(),
               sizeof(float) * static_cast<size_t>(n) * d);
-  PackEdges(z, n, cache->cap, &cache->z[0]);
-  for (int l = 0; l < num_layers; ++l) {
-    GatECapture capture;
-    capture.block = cache->cap;
-    capture.ew3.reserve(heads);
-    capture.se.reserve(heads);
-    for (int p = 0; p < heads; ++p) {
-      capture.ew3.push_back(cache->ew3[static_cast<size_t>(l) * heads + p]
-                                .data());
-      capture.se.push_back(cache->se[static_cast<size_t>(l) * heads + p]
-                               .data());
-    }
-    layers_[l]->ForwardFast(h, z, level.adjacency, plan, &capture);
-    plan->AddResiduals(&h, &z);
-    std::memcpy(cache->h[l + 1].data(), h.data(),
-                sizeof(float) * static_cast<size_t>(n) * d);
-    PackEdges(z, n, cache->cap, &cache->z[l + 1]);
-  }
+  PackEdges(feature_embed_->EmbedEdges(level).value(), n, cache->cap,
+            &cache->z[0]);
+  ForwardLayers(level, nullptr, nullptr, cache, nullptr, plan);
   cache->n = n;
-  return {Tensor::Constant(std::move(h)), Tensor::Constant(std::move(z))};
+  return MaterializeOutputs(*cache, n);
 }
 
 std::optional<EncodedLevel> LevelEncoder::EncodeDelta(
@@ -285,7 +266,6 @@ std::optional<EncodedLevel> LevelEncoder::EncodeDelta(
   }
 
   const int d = cache->hidden;
-  const int heads = cache->heads;
   const int pn = prev.n;
 
   // 1. Line cached rows up with the new numbering. Appends and
@@ -297,16 +277,17 @@ std::optional<EncodedLevel> LevelEncoder::EncodeDelta(
   }
 
   // 2. Dirty seeds from the raw graphs (cheap, before any float work).
-  std::vector<unsigned char> fresh(n, 0);
-  if (delta.kind == LevelDeltaKind::kInsert) fresh[delta.pos] = 1;
+  DirtySets dirty;
+  dirty.fresh.assign(n, 0);
+  if (delta.kind == LevelDeltaKind::kInsert) dirty.fresh[delta.pos] = 1;
 
   // Mask-membership change per attention row, under the index mapping.
   // A fresh column that is masked out does NOT change a row (the reuse
   // case the padded softmax semantics make exact).
-  std::vector<unsigned char> row_changed(n, 0);
+  dirty.row_changed.assign(n, 0);
   for (int i = 0; i < n; ++i) {
-    if (fresh[i]) {
-      row_changed[i] = 1;
+    if (dirty.fresh[i]) {
+      dirty.row_changed[i] = 1;
       continue;
     }
     const int oi = delta.OldIndex(i);
@@ -325,25 +306,25 @@ std::optional<EncodedLevel> LevelEncoder::EncodeDelta(
       // The removed column leaves the mask only if it was ever in it.
       changed = prev.adjacency[static_cast<size_t>(oi) * pn + delta.pos];
     }
-    row_changed[i] = changed ? 1 : 0;
+    dirty.row_changed[i] = changed ? 1 : 0;
   }
 
   // Raw edge-feature (and adjacency-bit) drift per pair seeds the z_0
   // dirty set; fresh-incident pairs have no history and are always
   // dirty.
   const int de = level.edge_features.cols();
-  std::vector<unsigned char> pair_dirty(static_cast<size_t>(n) * n, 0);
+  dirty.pair.assign(static_cast<size_t>(n) * n, 0);
   for (int i = 0; i < n; ++i) {
     const int oi = delta.OldIndex(i);
     for (int j = 0; j < n; ++j) {
       const size_t r = static_cast<size_t>(i) * n + j;
       const int oj = delta.OldIndex(j);
       if (oi < 0 || oj < 0) {
-        pair_dirty[r] = 1;
+        dirty.pair[r] = 1;
         continue;
       }
       const size_t ro = static_cast<size_t>(oi) * pn + oj;
-      pair_dirty[r] =
+      dirty.pair[r] =
           (level.adjacency[r] != prev.adjacency[ro] ||
            std::memcmp(level.edge_features.data() + r * de,
                        prev.edge_features.data() + ro * de,
@@ -355,39 +336,37 @@ std::optional<EncodedLevel> LevelEncoder::EncodeDelta(
 
   // 3. Node embeddings + input projection recomputed in full (O(n d^2),
   // noise) and diffed row-by-row against the cached h_0.
-  Tensor nodes = feature_embed_->EmbedNodes(level);
-  nodes = input_proj_->Forward(
-      ConcatCols(nodes, BroadcastRows(global_embed, n)));
+  const Tensor nodes = EmbedNodes(level, global_embed);
   const Matrix& h0 = nodes.value();
-  std::vector<unsigned char> node_dirty(n, 0);
+  dirty.node.assign(n, 0);
   int dirty_count = 0;
   for (int i = 0; i < n; ++i) {
-    const bool dirty =
-        fresh[i] ||
+    const bool changed =
+        dirty.fresh[i] ||
         std::memcmp(h0.data() + static_cast<size_t>(i) * d,
                     cache->h[0].data() + static_cast<size_t>(i) * d,
                     sizeof(float) * d) != 0;
-    node_dirty[i] = dirty ? 1 : 0;
-    dirty_count += dirty ? 1 : 0;
+    dirty.node[i] = changed ? 1 : 0;
+    dirty_count += changed ? 1 : 0;
   }
   // Cost guard: past half the nodes, a delta step approaches full-encode
   // flops while paying extra bookkeeping — bail before mutating values.
   if (2 * dirty_count > n) return std::nullopt;
 
   for (int i = 0; i < n; ++i) {
-    if (!node_dirty[i]) continue;
+    if (!dirty.node[i]) continue;
     std::memcpy(cache->h[0].data() + static_cast<size_t>(i) * d,
                 h0.data() + static_cast<size_t>(i) * d, sizeof(float) * d);
   }
 
   // 4. Edge embeddings: dense recompute (O(n^2 d_e d), ~1% of a full
   // encode), dirty pair rows refreshed in the cache.
-  Tensor edges = feature_embed_->EmbedEdges(level);
+  const Tensor edges = feature_embed_->EmbedEdges(level);
   const Matrix& z0 = edges.value();
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) {
       const size_t r = static_cast<size_t>(i) * n + j;
-      if (!pair_dirty[r]) continue;
+      if (!dirty.pair[r]) continue;
       std::memcpy(
           cache->z[0].data() +
               (static_cast<size_t>(i) * cache->cap + j) * d,
@@ -395,35 +374,11 @@ std::optional<EncodedLevel> LevelEncoder::EncodeDelta(
     }
   }
 
-  // 5. Layer-by-layer delta forward; each layer reports what actually
-  // changed so the dirty frontier stays tight.
-  std::vector<unsigned char> out_node(n, 0);
-  std::vector<unsigned char> out_pair(static_cast<size_t>(n) * n, 0);
-  for (size_t l = 0; l < layers_.size(); ++l) {
-    GatEDeltaItem item;
-    item.n = n;
-    item.adjacency = &level.adjacency;
-    item.h_in = cache->h[l].data();
-    item.z_in = cache->z[l].data();
-    item.h_out = cache->h[l + 1].data();
-    item.z_out = cache->z[l + 1].data();
-    item.block = cache->cap;
-    item.ew3.reserve(heads);
-    item.se.reserve(heads);
-    for (int p = 0; p < heads; ++p) {
-      item.ew3.push_back(cache->ew3[l * heads + p].data());
-      item.se.push_back(cache->se[l * heads + p].data());
-    }
-    item.node_dirty = node_dirty.data();
-    item.pair_dirty = pair_dirty.data();
-    item.row_changed = row_changed.data();
-    item.fresh = fresh.data();
-    item.out_node_dirty = out_node.data();
-    item.out_pair_dirty = out_pair.data();
-    layers_[l]->ForwardFastDelta(&item, plan);
-    node_dirty.swap(out_node);
-    pair_dirty.swap(out_pair);
-  }
+  // 5. The layer loop over the dirty sets; each layer reports what
+  // actually changed so the dirty frontier stays tight.
+  dirty.out_node.assign(n, 0);
+  dirty.out_pair.assign(static_cast<size_t>(n) * n, 0);
+  ForwardLayers(level, nullptr, nullptr, cache, &dirty, plan);
   cache->n = n;
   return MaterializeOutputs(*cache, n);
 }
@@ -451,11 +406,9 @@ RtpPrediction M2g4Rtp::PredictIncremental(const synth::Sample& sample,
   EncodedLevel aoi_enc;
   {
     obs::TraceSpan span("serve.stage.encode.ms", &encode_hist);
-    const bool fast = config_.encode_fast_path &&
-                      config_.use_graph_encoder && !GradMode::enabled();
-    const bool sessions = fast && config_.incremental_encode;
+    const bool sessions = config_.use_graph_encoder && !GradMode::enabled();
     std::optional<EncodePlan> plan;
-    if (fast) {
+    if (sessions) {
       const int max_n = config_.use_aoi_level
                             ? std::max(g.location.n, g.aoi.n)
                             : g.location.n;
@@ -535,12 +488,10 @@ RtpPrediction M2g4Rtp::PredictIncremental(const synth::Sample& sample,
         state->deltas_since_full = 0;
         state->warm = true;
       } else {
-        // Sessions inert (kill switch / grad mode / BiLSTM): exactly
-        // Predict's encode, state untouched.
-        loc_enc = location_encoder_->Encode(g.location, u, plan_ptr);
-        if (config_.use_aoi_level) {
-          aoi_enc = aoi_encoder_->Encode(g.aoi, u, plan_ptr);
-        }
+        // Sessions inert (grad mode / BiLSTM): exactly Predict's legacy
+        // encode, state untouched.
+        loc_enc = location_encoder_->Encode(g.location, u);
+        if (config_.use_aoi_level) aoi_enc = aoi_encoder_->Encode(g.aoi, u);
       }
     }
   }

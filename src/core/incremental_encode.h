@@ -51,7 +51,7 @@ struct LevelEncodeCache {
 /// path. kNone means the delta path ran.
 enum class IncrementalFallback {
   kNone = 0,
-  /// Kill switch off, BiLSTM ablation, or grad mode: sessions inert.
+  /// BiLSTM ablation or grad mode: sessions inert.
   kDisabled,
   /// No warm state yet (first request of a session, or after Reset).
   kCold,

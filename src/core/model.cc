@@ -192,12 +192,11 @@ RtpPrediction M2g4Rtp::Predict(const synth::Sample& sample) const {
   EncodedLevel aoi_enc;
   {
     obs::TraceSpan span("serve.stage.encode.ms", &encode_hist);
-    // One pool-backed plan serves both levels' fused encodes. Under grad
-    // mode, the BiLSTM ablation, or the kill switch, Encode dispatches
-    // to the legacy path instead (same bits either way).
+    // One pool-backed plan serves both levels' no-grad encodes. Under
+    // grad mode or the BiLSTM ablation, Encode dispatches to the legacy
+    // path instead (same bits either way).
     std::optional<EncodePlan> plan;
-    if (config_.encode_fast_path && config_.use_graph_encoder &&
-        !GradMode::enabled()) {
+    if (config_.use_graph_encoder && !GradMode::enabled()) {
       const int max_n = config_.use_aoi_level
                             ? std::max(g.location.n, g.aoi.n)
                             : g.location.n;

@@ -61,9 +61,10 @@ class M2g4Rtp : public nn::Module {
   /// most one inserted/removed node per level (and the global embedding
   /// is unchanged), only the affected GAT-e attention rows and edge
   /// pairs are re-encoded (LevelEncoder::EncodeDelta); otherwise — cold
-  /// state, structural diff, capacity overflow, k-th-update refresh, or
-  /// the ModelConfig::incremental_encode kill switch — it performs a
-  /// full encode and (when sessions are enabled) rewarms the state.
+  /// state, structural diff, capacity overflow or k-th-update refresh —
+  /// it performs a full encode and rewarms the state. Under grad mode or
+  /// the BiLSTM ablation sessions are inert: the legacy encode runs and
+  /// `state` is left untouched.
   /// The prediction is bitwise-identical to Predict(sample) in every
   /// case (incremental_encode_test). Records encode.delta_steps /
   /// encode.full_fallbacks and the encode.delta.ms span. Not

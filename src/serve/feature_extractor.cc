@@ -1,8 +1,10 @@
 #include "serve/feature_extractor.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
+#include <string>
 
 #include "common/check.h"
 #include "common/string_util.h"
@@ -13,10 +15,31 @@ Status FeatureExtractor::Validate(const RtpRequest& request) const {
   if (request.pending.empty()) {
     return Status::InvalidArgument("request has no pending orders");
   }
+  // A NaN or infinite coordinate or time turns every pointer score NaN,
+  // and no decode can pick a node from those.
+  const auto non_finite = [](const std::string& field) {
+    return Status::InvalidArgument(field + " is not finite");
+  };
+  if (!std::isfinite(request.courier_pos.lat) ||
+      !std::isfinite(request.courier_pos.lng)) {
+    return non_finite("courier_pos");
+  }
+  if (!std::isfinite(request.query_time_min)) {
+    return non_finite("query_time_min");
+  }
   for (const synth::Order& o : request.pending) {
     if (o.aoi_id < 0 || o.aoi_id >= world_->num_aois()) {
       return Status::InvalidArgument(
           StrFormat("order %d has unknown AOI id %d", o.id, o.aoi_id));
+    }
+    if (!std::isfinite(o.pos.lat) || !std::isfinite(o.pos.lng)) {
+      return non_finite(StrFormat("order %d pos", o.id));
+    }
+    if (!std::isfinite(o.accept_time_min)) {
+      return non_finite(StrFormat("order %d accept_time_min", o.id));
+    }
+    if (!std::isfinite(o.deadline_min)) {
+      return non_finite(StrFormat("order %d deadline_min", o.id));
     }
   }
   return Status::Ok();

@@ -28,7 +28,9 @@ class FeatureExtractor {
   explicit FeatureExtractor(const synth::World* world) : world_(world) {}
 
   /// Rejects requests BuildSample cannot resolve: an empty order list,
-  /// or an order whose AOI id the world does not know. Requests come
+  /// an order whose AOI id the world does not know, or a NaN/infinite
+  /// courier_pos, query_time_min, order pos, accept_time_min or
+  /// deadline_min (the message names the field). Requests come
   /// from outside the process, so a bad one yields an InvalidArgument
   /// status rather than a CHECK failure.
   Status Validate(const RtpRequest& request) const;

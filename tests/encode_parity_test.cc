@@ -2,10 +2,9 @@
 // through a per-request EncodePlan must reproduce the legacy autograd
 // encode bit for bit — under pooled AND plain storage, against the legacy
 // path in grad mode AND under NoGradGuard, serial AND concurrent. Also
-// pins full-model Predict parity across the encode_fast_path kill switch,
-// the training path's indifference to the flag (loss value + every
-// parameter gradient bitwise), the grad-mode dispatch back to legacy, and
-// the zero steady-state pool-miss property of a planned encode.
+// pins full-model Predict parity between no-grad (fused encode) and grad
+// mode (legacy encode), the grad-mode dispatch back to legacy, and the
+// zero steady-state pool-miss property of a planned encode.
 
 #include <gtest/gtest.h>
 
@@ -174,7 +173,7 @@ synth::DataConfig TinyDataConfig() {
   return dc;
 }
 
-ModelConfig TinyModelConfig(bool fast) {
+ModelConfig TinyModelConfig() {
   ModelConfig c;
   c.seed = 5;
   c.hidden_dim = 16;
@@ -185,55 +184,29 @@ ModelConfig TinyModelConfig(bool fast) {
   c.lstm_hidden_dim = 16;
   c.courier_dim = 8;
   c.pos_enc_dim = 4;
-  c.encode_fast_path = fast;
   return c;
 }
 
-// End-to-end kill-switch parity: two same-seed models differing only in
-// encode_fast_path must emit identical routes and bit-identical arrival
-// times through the multi-level Predict (both levels share one plan).
-TEST(EncodeParityTest, PredictIdenticalAcrossKillSwitch) {
+// End-to-end parity: the same model's Predict must emit identical routes
+// and bit-identical arrival times under NoGradGuard (fused encode, both
+// levels sharing one plan) and in grad mode (legacy autograd encode).
+TEST(EncodeParityTest, NoGradPredictMatchesGradModePredict) {
   const synth::DatasetSplits splits = synth::BuildDataset(TinyDataConfig());
   ASSERT_GT(splits.train.size(), 4);
   for (bool pooled : {true, false}) {
     PoolMode mode(pooled);
-    M2g4Rtp fast_model(TinyModelConfig(true));
-    M2g4Rtp legacy_model(TinyModelConfig(false));
-    NoGradGuard no_grad;
+    M2g4Rtp model(TinyModelConfig());
     for (int i = 0; i < 4; ++i) {
       const synth::Sample& s = splits.train.samples[i];
-      const RtpPrediction a = fast_model.Predict(s);
-      const RtpPrediction b = legacy_model.Predict(s);
+      ASSERT_TRUE(GradMode::enabled());
+      const RtpPrediction b = model.Predict(s);
+      NoGradGuard no_grad;
+      const RtpPrediction a = model.Predict(s);
       EXPECT_EQ(a.location_route, b.location_route) << "sample " << i;
       EXPECT_EQ(a.aoi_route, b.aoi_route) << "sample " << i;
       EXPECT_EQ(a.location_times_min, b.location_times_min) << "sample " << i;
       EXPECT_EQ(a.aoi_times_min, b.aoi_times_min) << "sample " << i;
     }
-  }
-}
-
-// The training path never sees the plan: loss value and every parameter
-// gradient are bitwise-unchanged by the serving flag, so checkpoints
-// trained before and after this refactor are byte-equal at a fixed seed.
-TEST(EncodeParityTest, TrainingLossAndGradsUnaffectedByFlag) {
-  const synth::DatasetSplits splits = synth::BuildDataset(TinyDataConfig());
-  const synth::Sample& s = splits.train.samples.front();
-  const auto run = [&](bool fast) {
-    M2g4Rtp model(TinyModelConfig(fast));
-    Tensor loss = model.ComputeLoss(s);
-    loss.Backward();
-    std::vector<Matrix> grads;
-    for (const auto& [name, p] : model.NamedParameters()) {
-      grads.push_back(p.grad());
-    }
-    return std::make_pair(loss.value(), std::move(grads));
-  };
-  auto [legacy_loss, legacy_grads] = run(false);
-  auto [fast_loss, fast_grads] = run(true);
-  ExpectBitEqual(fast_loss, legacy_loss, "loss value");
-  ASSERT_EQ(fast_grads.size(), legacy_grads.size());
-  for (size_t i = 0; i < fast_grads.size(); ++i) {
-    ExpectBitEqual(fast_grads[i], legacy_grads[i], "parameter grad");
   }
 }
 

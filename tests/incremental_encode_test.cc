@@ -4,7 +4,8 @@
 // pooled AND plain tensor storage — and PredictIncremental must match
 // Predict exactly on order-arrival request streams while reporting the
 // documented fallback reasons (structural diffs, capacity growth,
-// scheduled refresh, global-embedding drift, kill switch).
+// scheduled refresh, global-embedding drift, grad mode). A seeded random
+// edit stream checks the session path against the autograd encode.
 
 #include <gtest/gtest.h>
 
@@ -61,9 +62,11 @@ void ExpectLevelBitEqual(const EncodedLevel& got, const EncodedLevel& want,
 /// shared nodes and shared pairs — exactly the single-node-delta contract
 /// the serving feature path provides (node features are per-task, edge
 /// features are pair-local).
-Matrix NodeRow(int id) {
-  Rng rng(1000 + static_cast<uint64_t>(id));
-  return Matrix::Random(1, graph::kLocationContinuousDim, -1, 1, &rng);
+/// `version` > 0 gives the node drifted features under the same id.
+Matrix NodeRow(int id, int version, int cont_dim) {
+  Rng rng(1000 + static_cast<uint64_t>(id) +
+          static_cast<uint64_t>(version) * 1000003);
+  return Matrix::Random(1, cont_dim, -1, 1, &rng);
 }
 
 uint64_t PairSeed(int a, int b) {
@@ -71,19 +74,22 @@ uint64_t PairSeed(int a, int b) {
          static_cast<uint64_t>(std::max(a, b));
 }
 
-graph::LevelGraph LevelFromIds(const std::vector<int>& ids) {
+/// `versions`, when given, is indexed by node id (see NodeRow).
+graph::LevelGraph LevelFromIds(
+    const std::vector<int>& ids, const std::vector<int>* versions = nullptr,
+    int cont_dim = graph::kLocationContinuousDim) {
   const int n = static_cast<int>(ids.size());
   graph::LevelGraph level;
   level.n = n;
-  level.node_continuous = Matrix(n, graph::kLocationContinuousDim);
+  level.node_continuous = Matrix(n, cont_dim);
   level.node_aoi_id.resize(n);
   level.node_aoi_type.resize(n);
   for (int i = 0; i < n; ++i) {
-    const Matrix row = NodeRow(ids[i]);
+    const Matrix row = NodeRow(
+        ids[i], versions != nullptr ? (*versions)[ids[i]] : 0, cont_dim);
     std::memcpy(level.node_continuous.data() +
-                    static_cast<size_t>(i) * graph::kLocationContinuousDim,
-                row.data(),
-                sizeof(float) * graph::kLocationContinuousDim);
+                    static_cast<size_t>(i) * cont_dim,
+                row.data(), sizeof(float) * cont_dim);
     level.node_aoi_id[i] = ids[i] % 512;
     level.node_aoi_type[i] = ids[i] % synth::kNumAoiTypes;
   }
@@ -109,10 +115,11 @@ graph::LevelGraph LevelFromIds(const std::vector<int>& ids) {
 /// Paper-sized encoder (hidden 48, 4 heads, 2 layers — exercises both the
 /// concat hidden layer and the averaged last layer).
 struct EncoderFixture {
-  explicit EncoderFixture(uint64_t seed = 901) : rng(seed) {
+  explicit EncoderFixture(uint64_t seed = 901,
+                          int cont_dim = graph::kLocationContinuousDim)
+      : rng(seed) {
     config.seed = 11;
-    encoder = std::make_unique<LevelEncoder>(
-        config, graph::kLocationContinuousDim, &rng);
+    encoder = std::make_unique<LevelEncoder>(config, cont_dim, &rng);
     global =
         Tensor::Constant(Matrix::Random(1, config.courier_dim, -1, 1, &rng));
   }
@@ -318,6 +325,72 @@ TEST(IncrementalEncodeTest, DirtySpreadBailsOutToFullEncode) {
   ExpectLevelBitEqual(full, f.Full(after), "re-warm after refusal");
 }
 
+TEST(IncrementalEncodeTest, RandomEditStreamMatchesLegacyBitwise) {
+  // A seeded stream of random inserts, removals and node-feature drifts
+  // at random positions, on a location-level and an AOI-level encoder.
+  // The node count wanders between 2 and 24, so it outgrows the first
+  // cache capacity (16) and forces a regrow. After every edit the session
+  // encode (EncodeDelta, or the EncodeFastCached re-warm a refusal falls
+  // back to) must equal the autograd encode bit for bit.
+  constexpr int kSteps = 240;
+  constexpr int kMaxNodes = 24;
+  struct Level {
+    const char* name;
+    int cont_dim;
+    uint64_t seed;
+  };
+  for (const Level& lv : {Level{"location", graph::kLocationContinuousDim, 71},
+                          Level{"aoi", graph::kAoiContinuousDim, 72}}) {
+    SCOPED_TRACE(lv.name);
+    EncoderFixture f(lv.seed, lv.cont_dim);
+    NoGradGuard no_grad;
+    Rng rng(lv.seed);
+    std::vector<int> ids{0, 1, 2, 3, 4, 5};
+    std::vector<int> versions(ids.size() + kSteps, 0);  // by node id
+    int next_id = static_cast<int>(ids.size());
+    const auto build = [&] {
+      return LevelFromIds(ids, &versions, lv.cont_dim);
+    };
+    LevelEncodeCache cache;
+    graph::LevelGraph prev = build();
+    {
+      EncodePlan plan(prev.n, f.config.hidden_dim);
+      ExpectLevelBitEqual(
+          f.encoder->EncodeFastCached(prev, f.global, &plan, &cache),
+          f.encoder->EncodeLegacy(prev, f.global), "warm");
+    }
+    int delta_steps = 0;
+    int capacity_crossings = 0;
+    for (int step = 0; step < kSteps; ++step) {
+      SCOPED_TRACE(step);
+      const int n = static_cast<int>(ids.size());
+      const double u = rng.NextDouble();
+      if (n < kMaxNodes && (n <= 2 || u < 0.45)) {
+        ids.insert(ids.begin() + rng.UniformInt(0, n), next_id++);
+      } else if (n > 2 && u < 0.75) {
+        ids.erase(ids.begin() + rng.UniformInt(0, n - 1));
+      } else {
+        ++versions[ids[rng.UniformInt(0, n - 1)]];
+      }
+      graph::LevelGraph next = build();
+      const graph::LevelGraphDelta delta = graph::DiffLevelGraph(prev, next);
+      capacity_crossings += next.n > cache.cap ? 1 : 0;
+      EncodePlan plan(std::max(prev.n, next.n), f.config.hidden_dim);
+      std::optional<EncodedLevel> got = f.encoder->EncodeDelta(
+          next, prev, delta, f.global, &plan, &cache);
+      delta_steps += got.has_value() ? 1 : 0;
+      if (!got.has_value()) {
+        got = f.encoder->EncodeFastCached(next, f.global, &plan, &cache);
+      }
+      ExpectLevelBitEqual(*got, f.encoder->EncodeLegacy(next, f.global),
+                          "session vs legacy");
+      prev = std::move(next);
+    }
+    EXPECT_GE(capacity_crossings, 1);
+    EXPECT_GE(delta_steps, kSteps / 2) << "the stream lived on fallbacks";
+  }
+}
+
 /// World + untrained (seed-initialized) model for end-to-end
 /// PredictIncremental parity. Training is irrelevant to parity and slow.
 struct ModelFixture {
@@ -425,22 +498,6 @@ TEST(PredictIncrementalTest, ArrivalStreamMatchesPredictBitwise) {
   }
 }
 
-TEST(PredictIncrementalTest, KillSwitchFallsBackAndTouchesNoState) {
-  ModelConfig mc = ModelFixture::SmallConfig();
-  mc.incremental_encode = false;
-  ModelFixture f(mc);
-  NoGradGuard no_grad;
-  IncrementalState state;
-  synth::Sample s = f.extractor->BuildSample(f.RequestWithOrders(4));
-  IncrementalResult res;
-  RtpPrediction got = f.model->PredictIncremental(s, &state, &res);
-  EXPECT_FALSE(res.delta);
-  EXPECT_EQ(res.fallback, IncrementalFallback::kDisabled);
-  EXPECT_FALSE(state.warm);
-  EXPECT_EQ(state.bytes(), 0u);
-  ExpectPredictionBitEqual(got, f.model->Predict(s));
-}
-
 TEST(PredictIncrementalTest, RefreshPeriodForcesScheduledFullEncode) {
   ModelConfig mc = ModelFixture::SmallConfig();
   mc.incremental_refresh_period = 2;
@@ -511,8 +568,10 @@ TEST(PredictIncrementalTest, GradModeDisablesSessionsAndMatchesPredict) {
   synth::Sample s = f.extractor->BuildSample(f.RequestWithOrders(4));
   IncrementalResult res;
   RtpPrediction got = f.model->PredictIncremental(s, &state, &res);
+  EXPECT_FALSE(res.delta);
   EXPECT_EQ(res.fallback, IncrementalFallback::kDisabled);
   EXPECT_FALSE(state.warm);
+  EXPECT_EQ(state.bytes(), 0u);
   ExpectPredictionBitEqual(got, f.model->Predict(s));
 }
 

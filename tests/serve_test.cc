@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <atomic>
 #include <barrier>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -233,33 +235,56 @@ std::shared_ptr<const core::M2g4Rtp> Borrowed(const core::M2g4Rtp* model) {
 }
 
 TEST(RtpServiceTest, EmptyOrderListIsRejectedAndServingContinues) {
-  // Requests are untrusted input: an empty order list must cost one
-  // response, not the process.
+  // Requests are untrusted input: an empty order list, or a NaN/infinite
+  // coordinate or time (which would make every pointer score NaN), must
+  // cost one response, not the process.
   ServeFixture* f = Fixture();
   RtpService service(&f->built.world, f->model.get());
   obs::Counter& rejected =
       obs::MetricsRegistry::Global().counter("serve.rejected");
-  const uint64_t rejected_before = rejected.Value();
   const synth::Sample& s = f->built.splits.test.samples.front();
-  RtpRequest empty = f->RequestFromSample(s);
-  empty.pending.clear();
-
-  RtpService::Response response = service.Handle(empty);
-  EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(response.prediction.location_route.empty());
-  EXPECT_EQ(response.sample.num_locations(), 0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct BadRequest {
+    const char* field;  // must appear in the status message
+    std::function<void(RtpRequest*)> spoil;
+  };
+  const std::vector<BadRequest> cases = {
+      {"pending orders", [](RtpRequest* r) { r->pending.clear(); }},
+      {"courier_pos", [&](RtpRequest* r) { r->courier_pos.lat = nan; }},
+      {"query_time_min", [&](RtpRequest* r) { r->query_time_min = inf; }},
+      {"pos", [&](RtpRequest* r) { r->pending.back().pos.lng = -inf; }},
+      {"accept_time_min",
+       [&](RtpRequest* r) { r->pending.front().accept_time_min = nan; }},
+      {"deadline_min",
+       [&](RtpRequest* r) { r->pending.back().deadline_min = inf; }},
+  };
+  for (const BadRequest& c : cases) {
+    SCOPED_TRACE(c.field);
+    RtpRequest bad = f->RequestFromSample(s);
+    c.spoil(&bad);
+    const uint64_t rejected_before = rejected.Value();
+    RtpService::Response response = service.Handle(bad);
+    EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(response.status.message().find(c.field), std::string::npos)
+        << response.status.ToString();
+    EXPECT_TRUE(response.prediction.location_route.empty());
+    EXPECT_EQ(response.sample.num_locations(), 0);
 #ifndef M2G_OBS_DISABLED
-  EXPECT_EQ(rejected.Value() - rejected_before, 1u);
+    EXPECT_EQ(rejected.Value() - rejected_before, 1u);
+#else
+    (void)rejected_before;
 #endif
-  EXPECT_EQ(service.requests_served(), 0);
 
-  // The services built on Handle surface the rejection as a status.
-  OrderSortingService sorting(&service);
-  EtaService eta(&service);
-  EXPECT_FALSE(sorting.Sort(empty).ok());
-  EXPECT_FALSE(eta.Estimate(empty).ok());
-  EXPECT_EQ(eta.EstimateOrder(empty, 1).status().code(),
-            StatusCode::kInvalidArgument);
+    // The services built on Handle surface the rejection as a status.
+    OrderSortingService sorting(&service);
+    EtaService eta(&service);
+    EXPECT_FALSE(sorting.Sort(bad).ok());
+    EXPECT_FALSE(eta.Estimate(bad).ok());
+    EXPECT_EQ(eta.EstimateOrder(bad, 1).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(service.requests_served(), 0);
 
   // The process keeps serving valid requests.
   RtpService::Response ok = service.Handle(f->RequestFromSample(s));
