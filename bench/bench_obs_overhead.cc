@@ -9,7 +9,9 @@
 //
 // `--smoke` runs a reduced configuration for CI and exits nonzero when
 //   * instrumented serving is more than 3% slower than uninstrumented
-//     (best-of-N interleaved passes, retried to ride out scheduler noise),
+//     (bench::MeasureAb: interleaved enabled/disabled rounds over the
+//     request mix, the overhead being the median per-round ratio
+//     minus 1, printed with its IQR),
 //   * or the exported snapshot is missing any of the per-stage serving
 //     histograms, the wide-event counters, the service request counters,
 //     the tensor-pool counters or the thread-pool queue-depth gauge,
@@ -17,14 +19,12 @@
 // It also dumps the final snapshot to m2g_metrics.prom / m2g_metrics.json
 // plus sample traces.json / events.jsonl (uploaded as CI artifacts).
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/stopwatch.h"
 #include "core/model.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -41,42 +41,30 @@ volatile float g_sink = 0.0f;  // defeats dead-code elimination
 
 void Sink(float v) { g_sink = g_sink + v; }
 
-/// One timed pass: every request through the full serving path.
-double TimePass(const m2g::serve::RtpService& service,
-                const std::vector<m2g::serve::RtpRequest>& requests) {
-  m2g::Stopwatch watch;
-  for (const auto& req : requests) {
+/// Serves the request mix round-robin, one request per call, with
+/// telemetry switched `enabled`. Each arm of the A/B owns one, so both
+/// arms walk the mix in lockstep.
+class RequestCycle {
+ public:
+  RequestCycle(const m2g::serve::RtpService* service,
+               const std::vector<m2g::serve::RtpRequest>* requests,
+               bool enabled)
+      : service_(service), requests_(requests), enabled_(enabled) {}
+
+  void operator()() {
+    m2g::obs::SetEnabled(enabled_);
+    const auto& req = (*requests_)[next_];
+    next_ = (next_ + 1) % requests_->size();
     Sink(static_cast<float>(
-        service.Handle(req).prediction.location_times_min[0]));
+        service_->Handle(req).prediction.location_times_min[0]));
   }
-  return watch.ElapsedSeconds();
-}
 
-/// Best-of-`reps` interleaved A/B: alternating enabled/disabled passes
-/// so slow drift (turbo, thermal) hits both sides equally.
-struct AbResult {
-  double on_seconds = 0;
-  double off_seconds = 0;
-  double overhead() const {
-    return off_seconds > 0 ? on_seconds / off_seconds - 1.0 : 0.0;
-  }
+ private:
+  const m2g::serve::RtpService* service_;
+  const std::vector<m2g::serve::RtpRequest>* requests_;
+  bool enabled_;
+  size_t next_ = 0;
 };
-
-AbResult MeasureOverhead(const m2g::serve::RtpService& service,
-                         const std::vector<m2g::serve::RtpRequest>& requests,
-                         int reps) {
-  AbResult r;
-  r.on_seconds = 1e30;
-  r.off_seconds = 1e30;
-  for (int i = 0; i < reps; ++i) {
-    m2g::obs::SetEnabled(true);
-    r.on_seconds = std::min(r.on_seconds, TimePass(service, requests));
-    m2g::obs::SetEnabled(false);
-    r.off_seconds = std::min(r.off_seconds, TimePass(service, requests));
-  }
-  m2g::obs::SetEnabled(true);
-  return r;
-}
 
 int CheckExports(const std::string& prom, const std::string& json) {
   // Every serving-path metric the telemetry layer promises. Prometheus
@@ -167,31 +155,27 @@ int main(int argc, char** argv) {
   std::printf("warmup replay: %zu requests at %.0f req/s\n",
               replay.responses.size(), replay.requests_per_second);
 
-  // Interleaved A/B with retries: a single noisy scheduling quantum can
-  // fake a >3% delta on a short smoke pass, so widen the best-of window
-  // before concluding the telemetry itself is slow.
-  const int reps = smoke ? 5 : 10;
-  AbResult ab = MeasureOverhead(service, requests, reps);
+  // Interleaved A/B: each round serves the same few requests with
+  // telemetry on and off, back to back, so a frequency shift or a
+  // neighbour's burst on the shared box lands on both arms of a round
+  // rather than on one arm's pass. Every request of the mix is served
+  // 20 times per arm.
+  const int rounds = 20 * static_cast<int>(requests.size());
+  RequestCycle on(&service, &requests, true);
+  RequestCycle off(&service, &requests, false);
+  const m2g::bench::AbTiming ab = m2g::bench::MeasureAb(
+      on, off, rounds, /*min_round_ms=*/2.0);
+  m2g::obs::SetEnabled(true);
   const double budget = 0.03;
-  int attempts = 1;
-  while (smoke && ab.overhead() > budget && attempts < 4) {
-    std::printf("overhead %.2f%% over budget, retrying (%d) ...\n",
-                100.0 * ab.overhead(), attempts);
-    AbResult again = MeasureOverhead(service, requests, reps);
-    ab.on_seconds = std::min(ab.on_seconds, again.on_seconds);
-    ab.off_seconds = std::min(ab.off_seconds, again.off_seconds);
-    ++attempts;
-  }
-
-  const double per_req_us =
-      1e6 * (ab.on_seconds - ab.off_seconds) / requests.size();
-  std::printf("\nserving %zu requests, best of %d interleaved passes\n",
-              requests.size(), reps * attempts);
-  std::printf("  %-14s %12s\n", "telemetry", "seconds");
-  std::printf("  %-14s %12.4f\n", "enabled", ab.on_seconds);
-  std::printf("  %-14s %12.4f\n", "disabled", ab.off_seconds);
-  std::printf("  overhead: %.2f%% (%.1f us/request)\n",
-              100.0 * ab.overhead(), per_req_us);
+  const double overhead = ab.ratio.median - 1.0;
+  std::printf("\nserving %zu requests round-robin, median of %d "
+              "interleaved rounds\n",
+              requests.size(), rounds);
+  std::printf("  %-14s %12s\n", "telemetry", "ms/request");
+  std::printf("  %-14s %12.3f\n", "enabled", ab.a_ms.median);
+  std::printf("  %-14s %12.3f\n", "disabled", ab.b_ms.median);
+  std::printf("  overhead: %.2f%% (iqr %.2f%%)\n", 100.0 * overhead,
+              100.0 * ab.ratio.iqr());
 
   const size_t trace_trees = m2g::obs::RecentTraceTrees().size();
   const uint64_t wide_events = m2g::obs::WideEventSink::Global().recorded();
@@ -237,11 +221,11 @@ int main(int argc, char** argv) {
           .Set("mode", bench::JsonValue::String(smoke ? "smoke" : "full"))
           .Set("requests",
                bench::JsonValue::Int(static_cast<int64_t>(requests.size())))
-          .Set("passes", bench::JsonValue::Int(reps * attempts))
-          .Set("on_seconds", bench::JsonValue::Number(ab.on_seconds))
-          .Set("off_seconds", bench::JsonValue::Number(ab.off_seconds))
-          .Set("overhead", bench::JsonValue::Number(ab.overhead()))
-          .Set("per_request_us", bench::JsonValue::Number(per_req_us))
+          .Set("rounds", bench::JsonValue::Int(rounds))
+          .Set("on_ms", bench::JsonValue::Number(ab.a_ms.median))
+          .Set("off_ms", bench::JsonValue::Number(ab.b_ms.median))
+          .Set("overhead", bench::JsonValue::Number(overhead))
+          .Set("overhead_iqr", bench::JsonValue::Number(ab.ratio.iqr()))
           .Set("trace_trees",
                bench::JsonValue::Int(static_cast<int64_t>(trace_trees)))
           .Set("wide_events",
@@ -250,15 +234,15 @@ int main(int argc, char** argv) {
   if (!bench::WriteBenchJson("BENCH_obs_overhead.json", doc)) ++failures;
 
   if (smoke) {
-    if (ab.overhead() > budget) {
+    if (overhead > budget) {
       std::fprintf(stderr,
                    "FAIL: telemetry overhead %.2f%% exceeds %.0f%% budget\n",
-                   100.0 * ab.overhead(), 100.0 * budget);
+                   100.0 * overhead, 100.0 * budget);
       ++failures;
     }
     if (failures == 0) {
       std::printf("smoke OK: %.2f%% overhead, all exports present\n",
-                  100.0 * ab.overhead());
+                  100.0 * overhead);
     }
     return failures == 0 ? 0 : 1;
   }

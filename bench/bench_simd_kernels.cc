@@ -1,30 +1,35 @@
 // SIMD kernel tier bench: every dispatched row kernel timed at paper
-// dims (F = 48 hidden units, n = 50 graph nodes) on every tier this
-// host supports, with byte-identity checks between tiers on every
-// kernel. The dense MatMulInto row is the headline — it is the inner
-// loop of the O(n^2 F^2) GAT-e edge term that dominates encode cost.
-// The DenseRows rows time the row-block kernel alone at the GAT-e edge
+// dims (F = 48 hidden units, n = 50 graph nodes) as a scalar-vs-AVX2
+// A/B, with a byte-identity check between the tiers on every kernel.
+// The dense MatMulInto row is the headline — it is the inner loop of
+// the O(n^2 F^2) GAT-e edge term that dominates encode cost. The
+// DenseRows rows time the row-block kernel alone at the GAT-e edge
 // shapes (n^2 = 2500 pair rows of F = 48 against one head's W3 at a
 // hidden layer's d_h = 12 and the last layer's d_h = 48, the (48, 1)
 // a_e column, and the all-heads stacks ForwardFast multiplies by:
 // 4 x 12 + 4 = 52 and 4 x 48 + 4 = 196 columns) and report GFLOP/s
 // next to ns.
 //
-// `--smoke` (Release CI) exits nonzero if
-//   * any kernel's output differs by one byte between any two tiers,
-//   * the best-tier dense MatMulInto speedup over the scalar tier is
-//     below the floor (default 2.0 when AVX2 is detected, 1.0
-//     otherwise; M2G_BENCH_SIMD_MIN_SPEEDUP overrides for scalar-only
-//     or noisy runners),
+// Timing is bench::MeasureAb: each arm sets its tier once and runs an
+// inner batch of kernel calls, and the arms alternate in interleaved
+// rounds; a kernel's speedup is the median of the per-round
+// scalar/AVX2 ratios, printed with its IQR. On a host without AVX2
+// there is one tier and nothing to compare: the bench says so and
+// times nothing.
+//
+// `--smoke` (Release CI) runs fewer rounds and exits nonzero if
+//   * any kernel's output differs by one byte between the tiers,
+//   * the dense MatMulInto median speedup of AVX2 over scalar is below
+//     kMinSpeedup (2.0; skipped without AVX2),
 //   * a short fixed-seed training run does not produce byte-identical
-//     parameters between the scalar tier and the best tier (the
+//     parameters between the scalar tier and the detected tier (the
 //     end-to-end restatement of the per-kernel parity contract), or
 //   * BENCH_simd.json cannot be written.
-// The JSON dump records the detected tier, per-kernel per-tier ns, and
-// the speedups, next to the other BENCH_*.json CI artifacts.
+// The JSON dump records the detected tier, per-kernel per-tier median
+// ns, and the speedups with their IQRs, next to the other
+// BENCH_*.json CI artifacts.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <string>
@@ -33,7 +38,6 @@
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
-#include "common/stopwatch.h"
 #include "core/model.h"
 #include "core/trainer.h"
 #include "tensor/matrix.h"
@@ -44,100 +48,77 @@ namespace {
 
 using m2g::Matrix;
 using m2g::Rng;
+using m2g::simd::Tier;
+namespace bench = m2g::bench;
+
+constexpr double kMinSpeedup = 2.0;
 
 volatile float g_sink = 0.0f;
 
 void Sink(float v) { g_sink = g_sink + v; }
-
-std::vector<m2g::simd::Tier> SupportedTiers() {
-  std::vector<m2g::simd::Tier> tiers = {m2g::simd::Tier::kScalar};
-  if (m2g::simd::DetectedTier() >= m2g::simd::Tier::kSse2) {
-    tiers.push_back(m2g::simd::Tier::kSse2);
-  }
-  if (m2g::simd::DetectedTier() >= m2g::simd::Tier::kAvx2) {
-    tiers.push_back(m2g::simd::Tier::kAvx2);
-  }
-  return tiers;
-}
 
 struct KernelCase {
   std::string name;
   // Runs the kernel once and appends its full output to *out (the
   // cross-tier identity check compares these bytes).
   std::function<void(std::vector<float>*)> run;
-  // Floating-point operations per call (0: not reported) and the divisor
-  // applied to the iteration count for calls that are whole-tile sized.
+  // Floating-point operations per call (0: not reported).
   double flops = 0;
-  int iter_div = 1;
-};
-
-struct TierTiming {
-  m2g::simd::Tier tier;
-  double ns_per_op = 0;
+  // Kernel calls per timed arm call: enough that the per-arm SetTier
+  // is noise next to the kernels (1 for the whole-tile DenseRows rows).
+  int batch = 64;
 };
 
 struct KernelReport {
   std::string name;
-  std::vector<TierTiming> timings;
   bool identical = true;
   double flops = 0;
+  int batch = 1;
+  bench::AbTiming timing;  // A = scalar, B = AVX2; ms per arm call
 
-  double NsFor(m2g::simd::Tier tier) const {
-    for (const TierTiming& t : timings) {
-      if (t.tier == tier) return t.ns_per_op;
-    }
-    return 0;
-  }
+  double scalar_ns() const { return timing.a_ms.median * 1e6 / batch; }
+  double avx2_ns() const { return timing.b_ms.median * 1e6 / batch; }
+  double speedup() const { return timing.ratio.median; }
 };
 
-/// Min-of-rounds timing, like the other fast-path benches: the min
-/// discards scheduling spikes on shared CI boxes.
-template <typename Fn>
-double TimeNs(int iters, Fn&& fn) {
-  double best = 0;
-  for (int round = 0; round < 3; ++round) {
-    m2g::Stopwatch watch;
-    for (int i = 0; i < iters; ++i) fn();
-    const double ns = watch.ElapsedSeconds() * 1e9 / iters;
-    if (round == 0 || ns < best) best = ns;
-  }
-  return best;
+std::vector<float> RunAt(const KernelCase& kernel, Tier tier) {
+  m2g::simd::SetTier(tier);
+  std::vector<float> out;
+  kernel.run(&out);
+  return out;
 }
 
-KernelReport BenchKernel(const KernelCase& kernel, int iters) {
+KernelReport BenchKernel(const KernelCase& kernel, int rounds) {
   KernelReport report;
   report.name = kernel.name;
   report.flops = kernel.flops;
-  iters = iters / kernel.iter_div > 0 ? iters / kernel.iter_div : 1;
-  std::vector<float> reference;
-  for (m2g::simd::Tier tier : SupportedTiers()) {
-    m2g::simd::SetTier(tier);
-    std::vector<float> out;
-    kernel.run(&out);  // warm + identity capture
-    if (tier == m2g::simd::Tier::kScalar) {
-      reference = out;
-    } else if (out.size() != reference.size() ||
-               std::memcmp(out.data(), reference.data(),
-                           out.size() * sizeof(float)) != 0) {
-      report.identical = false;
-    }
-    TierTiming timing;
-    timing.tier = tier;
-    // `out` keeps its capacity across iterations, so the timed loop
-    // re-runs the kernel without reallocating — allocation noise would
-    // attenuate every tier's ratio toward 1.0 and soften the gate.
-    timing.ns_per_op = TimeNs(iters, [&] {
-      kernel.run(&out);
-      Sink(out.empty() ? 0.0f : out[0]);
-    });
-    report.timings.push_back(timing);
-  }
+  report.batch = kernel.batch;
+  const std::vector<float> want = RunAt(kernel, Tier::kScalar);
+  const std::vector<float> got = RunAt(kernel, Tier::kAvx2);
+  report.identical =
+      got.size() == want.size() &&
+      std::memcmp(got.data(), want.data(), want.size() * sizeof(float)) == 0;
+  // `out` keeps its capacity across calls, so the timed batches re-run
+  // the kernel without reallocating — allocation noise would attenuate
+  // the ratio toward 1.0 and soften the gate.
+  std::vector<float> out;
+  const auto arm = [&](Tier tier) {
+    return [&kernel, &out, tier] {
+      m2g::simd::SetTier(tier);
+      for (int i = 0; i < kernel.batch; ++i) {
+        kernel.run(&out);
+        Sink(out.empty() ? 0.0f : out[0]);
+      }
+    };
+  };
+  report.timing =
+      bench::MeasureAb(arm(Tier::kScalar), arm(Tier::kAvx2), rounds);
   m2g::simd::SetTier(m2g::simd::DetectedTier());
   return report;
 }
 
 /// Short fixed-seed fit; returns the flattened parameter bytes.
-std::vector<float> FitParams(m2g::simd::Tier tier) {
+std::vector<float> FitParams(Tier tier) {
   m2g::simd::SetTier(tier);
   m2g::synth::DataConfig dc;
   dc.seed = 1212;
@@ -176,15 +157,10 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
-  const int iters = smoke ? 2000 : 20000;
+  const int rounds = smoke ? 15 : 31;
 
-  const m2g::simd::Tier detected = m2g::simd::DetectedTier();
-  const bool has_avx2 = detected >= m2g::simd::Tier::kAvx2;
-  double min_speedup = has_avx2 ? 2.0 : 1.0;
-  if (const char* v = std::getenv("M2G_BENCH_SIMD_MIN_SPEEDUP")) {
-    const double s = std::atof(v);
-    if (s > 0) min_speedup = s;
-  }
+  const Tier detected = m2g::simd::DetectedTier();
+  const bool has_avx2 = detected == Tier::kAvx2;
 
   std::printf("=== SIMD kernel tier (detected: %s) ===\n",
               m2g::simd::TierName(detected));
@@ -241,7 +217,7 @@ int main(int argc, char** argv) {
            m2g::simd::DenseRowsMatMul(z.data(), pairs, f, f, b->data(), m,
                                       out->data(), m);
          },
-         2.0 * pairs * f * m, 200});
+         2.0 * pairs * f * m, 1});
   }
   kernels.push_back({"GatLogitsRow(n=50)", [&](std::vector<float>* out) {
                        out->assign(n, 0.0f);
@@ -269,46 +245,43 @@ int main(int argc, char** argv) {
                        m2g::simd::ReluInPlace(out->data(), out->size());
                      }});
 
-  std::printf("  %-26s", "");
-  for (m2g::simd::Tier tier : SupportedTiers()) {
-    std::printf(" %10s", m2g::simd::TierName(tier));
-  }
-  std::printf(" %9s %9s\n", "speedup", "identical");
-
   std::vector<KernelReport> reports;
   bool all_identical = true;
   double matmul_speedup = 0;
-  {
+  double matmul_speedup_iqr = 0;
+  if (!has_avx2) {
+    std::printf("  only the scalar tier runs on this host: nothing to "
+                "compare, no kernel timed\n");
+  } else {
+    std::printf("  scalar vs avx2, median of %d interleaved rounds\n",
+                rounds);
+    std::printf("  %-26s %10s %10s %9s %7s %9s\n", "", "scalar", "avx2",
+                "speedup", "iqr", "identical");
     m2g::ArenaGuard arena;
     for (const KernelCase& kernel : kernels) {
-      KernelReport report = BenchKernel(kernel, iters);
-      const double scalar_ns = report.NsFor(m2g::simd::Tier::kScalar);
-      const double best_ns = report.NsFor(detected);
-      const double speedup = best_ns > 0 ? scalar_ns / best_ns : 0;
-      std::printf("  %-26s", report.name.c_str());
-      for (const TierTiming& t : report.timings) {
-        std::printf(" %8.0fns", t.ns_per_op);
-      }
-      std::printf(" %8.2fx %9s", speedup, report.identical ? "yes" : "NO");
+      KernelReport report = BenchKernel(kernel, rounds);
+      std::printf("  %-26s %8.0fns %8.0fns %8.2fx %6.2fx %9s",
+                  report.name.c_str(), report.scalar_ns(), report.avx2_ns(),
+                  report.speedup(), report.timing.ratio.iqr(),
+                  report.identical ? "yes" : "NO");
       if (report.flops > 0) {
-        std::printf("  (%s %.1f GFLOP/s)", m2g::simd::TierName(detected),
-                    report.flops / best_ns);
+        std::printf("  (avx2 %.1f GFLOP/s)", report.flops / report.avx2_ns());
       }
       std::printf("\n");
       all_identical = all_identical && report.identical;
       if (report.name.rfind("MatMulInto", 0) == 0) {
-        matmul_speedup = speedup;
+        matmul_speedup = report.speedup();
+        matmul_speedup_iqr = report.timing.ratio.iqr();
       }
       reports.push_back(std::move(report));
     }
   }
 
   // End-to-end restatement of the parity contract: fixed-seed training
-  // must land on byte-identical parameters scalar vs best tier.
+  // must land on byte-identical parameters scalar vs detected tier.
   bool training_identical = true;
   {
-    const std::vector<float> scalar_params =
-        FitParams(m2g::simd::Tier::kScalar);
+    const std::vector<float> scalar_params = FitParams(Tier::kScalar);
     const std::vector<float> best_params = FitParams(detected);
     training_identical =
         scalar_params.size() == best_params.size() &&
@@ -320,26 +293,22 @@ int main(int argc, char** argv) {
                 training_identical ? "byte-identical" : "DIFFER");
   }
 
-  namespace bench = m2g::bench;
   bench::JsonValue kernels_json = bench::JsonValue::Array();
   for (const KernelReport& report : reports) {
-    bench::JsonValue tiers_json = bench::JsonValue::Object();
-    for (const TierTiming& t : report.timings) {
-      tiers_json.Set(m2g::simd::TierName(t.tier),
-                     bench::JsonValue::Number(t.ns_per_op));
-    }
-    const double scalar_ns = report.NsFor(m2g::simd::Tier::kScalar);
-    const double best_ns = report.NsFor(detected);
     bench::JsonValue kernel_json =
         bench::JsonValue::Object()
             .Set("kernel", bench::JsonValue::String(report.name))
-            .Set("ns_per_op", std::move(tiers_json))
-            .Set("speedup", bench::JsonValue::Number(
-                                best_ns > 0 ? scalar_ns / best_ns : 0))
+            .Set("ns_per_op",
+                 bench::JsonValue::Object()
+                     .Set("scalar", bench::JsonValue::Number(report.scalar_ns()))
+                     .Set("avx2", bench::JsonValue::Number(report.avx2_ns())))
+            .Set("speedup", bench::JsonValue::Number(report.speedup()))
+            .Set("speedup_iqr",
+                 bench::JsonValue::Number(report.timing.ratio.iqr()))
             .Set("identical", bench::JsonValue::Bool(report.identical));
-    if (report.flops > 0 && best_ns > 0) {
-      kernel_json.Set("best_gflops",
-                      bench::JsonValue::Number(report.flops / best_ns));
+    if (report.flops > 0) {
+      kernel_json.Set("best_gflops", bench::JsonValue::Number(
+                                         report.flops / report.avx2_ns()));
     }
     kernels_json.Push(std::move(kernel_json));
   }
@@ -349,10 +318,12 @@ int main(int argc, char** argv) {
           .Set("mode", bench::JsonValue::String(smoke ? "smoke" : "full"))
           .Set("detected_tier",
                bench::JsonValue::String(m2g::simd::TierName(detected)))
-          .Set("iters", bench::JsonValue::Int(iters))
-          .Set("min_speedup", bench::JsonValue::Number(min_speedup))
+          .Set("rounds", bench::JsonValue::Int(rounds))
+          .Set("min_speedup", bench::JsonValue::Number(kMinSpeedup))
           .Set("matmul_into_speedup",
                bench::JsonValue::Number(matmul_speedup))
+          .Set("matmul_into_speedup_iqr",
+               bench::JsonValue::Number(matmul_speedup_iqr))
           .Set("outputs_identical", bench::JsonValue::Bool(all_identical))
           .Set("training_identical",
                bench::JsonValue::Bool(training_identical))
@@ -362,8 +333,7 @@ int main(int argc, char** argv) {
   if (smoke) {
     int failures = json_ok ? 0 : 1;
     if (!all_identical) {
-      std::fprintf(stderr,
-                   "FAIL: kernel outputs differ between tiers\n");
+      std::fprintf(stderr, "FAIL: kernel outputs differ between tiers\n");
       ++failures;
     }
     if (!training_identical) {
@@ -372,17 +342,18 @@ int main(int argc, char** argv) {
                    "tiers\n");
       ++failures;
     }
-    if (matmul_speedup < min_speedup) {
+    if (has_avx2 && matmul_speedup < kMinSpeedup) {
       std::fprintf(stderr,
-                   "FAIL: dense MatMulInto best-tier speedup %.2fx < "
-                   "required %.2fx\n",
-                   matmul_speedup, min_speedup);
+                   "FAIL: dense MatMulInto avx2 speedup %.2fx (iqr %.2fx) "
+                   "< required %.2fx\n",
+                   matmul_speedup, matmul_speedup_iqr, kMinSpeedup);
       ++failures;
     }
     if (failures == 0) {
-      std::printf("smoke OK: %s tier, %.2fx dense MatMulInto, all "
-                  "outputs byte-identical\n",
-                  m2g::simd::TierName(detected), matmul_speedup);
+      std::printf("smoke OK: %s tier, %.2fx dense MatMulInto (iqr %.2fx), "
+                  "all outputs byte-identical\n",
+                  m2g::simd::TierName(detected), matmul_speedup,
+                  matmul_speedup_iqr);
     }
     return failures == 0 ? 0 : 1;
   }

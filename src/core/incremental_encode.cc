@@ -386,116 +386,79 @@ std::optional<EncodedLevel> LevelEncoder::EncodeDelta(
 RtpPrediction M2g4Rtp::PredictIncremental(const synth::Sample& sample,
                                           IncrementalState* state,
                                           IncrementalResult* result) const {
-  static obs::Histogram& graph_hist =
-      obs::StageHistogram("serve.stage.graph_build.ms");
-  static obs::Histogram& encode_hist =
-      obs::StageHistogram("serve.stage.encode.ms");
-  static obs::Histogram& delta_hist = obs::StageHistogram("encode.delta.ms");
   M2G_CHECK(state != nullptr);
   IncrementalResult local;
   IncrementalResult* res = result != nullptr ? result : &local;
   *res = IncrementalResult();
+  return PredictPipeline(sample, state, res);
+}
 
-  graph::MultiLevelGraph g;
-  {
-    obs::TraceSpan span("serve.stage.graph_build.ms", &graph_hist);
-    g = BuildMultiLevelGraph(sample, config_.graph);
-  }
-  Tensor u;
-  EncodedLevel loc_enc;
-  EncodedLevel aoi_enc;
-  {
-    obs::TraceSpan span("serve.stage.encode.ms", &encode_hist);
-    const bool sessions = config_.use_graph_encoder && !GradMode::enabled();
-    std::optional<EncodePlan> plan;
-    if (sessions) {
-      const int max_n = config_.use_aoi_level
-                            ? std::max(g.location.n, g.aoi.n)
-                            : g.location.n;
-      plan.emplace(max_n, config_.hidden_dim);
+void M2g4Rtp::EncodeWithSession(graph::MultiLevelGraph* g, const Tensor& u,
+                                EncodePlan* plan, IncrementalState* state,
+                                IncrementalResult* res, EncodedLevel* loc_enc,
+                                EncodedLevel* aoi_enc) const {
+  static obs::Histogram& delta_hist = obs::StageHistogram("encode.delta.ms");
+  IncrementalFallback why = IncrementalFallback::kNone;
+  graph::LevelGraphDelta loc_delta, aoi_delta;
+  if (!state->warm) {
+    why = IncrementalFallback::kCold;
+  } else if (state->u.size() != u.value().size() ||
+             std::memcmp(state->u.data(), u.value().data(),
+                         sizeof(float) * state->u.size()) != 0) {
+    why = IncrementalFallback::kGlobalChanged;
+  } else if (state->deltas_since_full + 1 >=
+             static_cast<uint64_t>(config_.incremental_refresh_period)) {
+    why = IncrementalFallback::kRefresh;
+  } else {
+    loc_delta = graph::DiffLevelGraph(state->graph.location, g->location);
+    if (loc_delta.kind == graph::LevelDeltaKind::kStructural) {
+      why = IncrementalFallback::kStructural;
+    } else if (g->location.n > state->location.cap) {
+      why = IncrementalFallback::kCapacity;
     }
-    EncodePlan* plan_ptr = plan.has_value() ? &*plan : nullptr;
-    u = global_embed_->Embed(sample);
-
-    IncrementalFallback why = IncrementalFallback::kNone;
-    graph::LevelGraphDelta loc_delta, aoi_delta;
-    if (!sessions) {
-      why = IncrementalFallback::kDisabled;
-    } else if (!state->warm) {
-      why = IncrementalFallback::kCold;
-    } else if (state->u.size() != u.value().size() ||
-               std::memcmp(state->u.data(), u.value().data(),
-                           sizeof(float) * state->u.size()) != 0) {
-      why = IncrementalFallback::kGlobalChanged;
-    } else if (state->deltas_since_full + 1 >=
-               static_cast<uint64_t>(config_.incremental_refresh_period)) {
-      why = IncrementalFallback::kRefresh;
-    } else {
-      loc_delta = graph::DiffLevelGraph(state->graph.location, g.location);
-      if (loc_delta.kind == graph::LevelDeltaKind::kStructural) {
+    if (why == IncrementalFallback::kNone && config_.use_aoi_level) {
+      aoi_delta = graph::DiffLevelGraph(state->graph.aoi, g->aoi);
+      if (aoi_delta.kind == graph::LevelDeltaKind::kStructural) {
         why = IncrementalFallback::kStructural;
-      } else if (g.location.n > state->location.cap) {
+      } else if (g->aoi.n > state->aoi.cap) {
         why = IncrementalFallback::kCapacity;
       }
-      if (why == IncrementalFallback::kNone && config_.use_aoi_level) {
-        aoi_delta = graph::DiffLevelGraph(state->graph.aoi, g.aoi);
-        if (aoi_delta.kind == graph::LevelDeltaKind::kStructural) {
-          why = IncrementalFallback::kStructural;
-        } else if (g.aoi.n > state->aoi.cap) {
-          why = IncrementalFallback::kCapacity;
-        }
-      }
-    }
-    if (why == IncrementalFallback::kNone) {
-      obs::TraceSpan delta_span("encode.delta.ms", &delta_hist);
-      std::optional<EncodedLevel> le = location_encoder_->EncodeDelta(
-          g.location, state->graph.location, loc_delta, u, plan_ptr,
-          &state->location);
-      std::optional<EncodedLevel> ae;
-      bool ok = le.has_value();
-      if (ok && config_.use_aoi_level) {
-        ae = aoi_encoder_->EncodeDelta(g.aoi, state->graph.aoi, aoi_delta,
-                                       u, plan_ptr, &state->aoi);
-        ok = ae.has_value();
-      }
-      if (ok) {
-        loc_enc = std::move(*le);
-        if (config_.use_aoi_level) aoi_enc = std::move(*ae);
-        state->graph = std::move(g);
-        ++state->deltas_since_full;
-        DeltaStepsCounter().Increment();
-        res->delta = true;
-      } else {
-        why = IncrementalFallback::kDirtySpread;
-      }
-    }
-    if (!res->delta) {
-      res->fallback = why;
-      if (why != IncrementalFallback::kDisabled &&
-          why != IncrementalFallback::kCold) {
-        FullFallbacksCounter().Increment();
-      }
-      if (sessions) {
-        loc_enc = location_encoder_->EncodeFastCached(g.location, u,
-                                                      plan_ptr,
-                                                      &state->location);
-        if (config_.use_aoi_level) {
-          aoi_enc = aoi_encoder_->EncodeFastCached(g.aoi, u, plan_ptr,
-                                                   &state->aoi);
-        }
-        state->u = u.value();
-        state->graph = std::move(g);
-        state->deltas_since_full = 0;
-        state->warm = true;
-      } else {
-        // Sessions inert (grad mode / BiLSTM): exactly Predict's legacy
-        // encode, state untouched.
-        loc_enc = location_encoder_->Encode(g.location, u);
-        if (config_.use_aoi_level) aoi_enc = aoi_encoder_->Encode(g.aoi, u);
-      }
     }
   }
-  return DecodeWithEncodings(sample, u, loc_enc, aoi_enc);
+  if (why == IncrementalFallback::kNone) {
+    obs::TraceSpan delta_span("encode.delta.ms", &delta_hist);
+    std::optional<EncodedLevel> le = location_encoder_->EncodeDelta(
+        g->location, state->graph.location, loc_delta, u, plan,
+        &state->location);
+    std::optional<EncodedLevel> ae;
+    bool ok = le.has_value();
+    if (ok && config_.use_aoi_level) {
+      ae = aoi_encoder_->EncodeDelta(g->aoi, state->graph.aoi, aoi_delta, u,
+                                     plan, &state->aoi);
+      ok = ae.has_value();
+    }
+    if (ok) {
+      *loc_enc = std::move(*le);
+      if (config_.use_aoi_level) *aoi_enc = std::move(*ae);
+      state->graph = std::move(*g);
+      ++state->deltas_since_full;
+      DeltaStepsCounter().Increment();
+      res->delta = true;
+      return;
+    }
+    why = IncrementalFallback::kDirtySpread;
+  }
+  res->fallback = why;
+  if (why != IncrementalFallback::kCold) FullFallbacksCounter().Increment();
+  *loc_enc = location_encoder_->EncodeFastCached(g->location, u, plan,
+                                                 &state->location);
+  if (config_.use_aoi_level) {
+    *aoi_enc = aoi_encoder_->EncodeFastCached(g->aoi, u, plan, &state->aoi);
+  }
+  state->u = u.value();
+  state->graph = std::move(*g);
+  state->deltas_since_full = 0;
+  state->warm = true;
 }
 
 }  // namespace m2g::core

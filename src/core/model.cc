@@ -4,6 +4,7 @@
 #include <optional>
 
 #include "core/encode_plan.h"
+#include "core/incremental_encode.h"
 #include "graph/features.h"
 #include "nn/serialize.h"
 #include "obs/trace.h"
@@ -171,6 +172,12 @@ Tensor M2g4Rtp::ComputeLoss(const synth::Sample& sample,
 }
 
 RtpPrediction M2g4Rtp::Predict(const synth::Sample& sample) const {
+  return PredictPipeline(sample, nullptr, nullptr);
+}
+
+RtpPrediction M2g4Rtp::PredictPipeline(const synth::Sample& sample,
+                                       IncrementalState* state,
+                                       IncrementalResult* result) const {
   // Per-stage spans cover the Figure 7 serving pipeline after feature
   // extraction. Instrumentation is observe-only: the numeric operations
   // and their order are exactly the uninstrumented path (the AOI encode
@@ -193,8 +200,9 @@ RtpPrediction M2g4Rtp::Predict(const synth::Sample& sample) const {
   {
     obs::TraceSpan span("serve.stage.encode.ms", &encode_hist);
     // One pool-backed plan serves both levels' no-grad encodes. Under
-    // grad mode or the BiLSTM ablation, Encode dispatches to the legacy
-    // path instead (same bits either way).
+    // grad mode or the BiLSTM ablation there is no plan: Encode
+    // dispatches to the legacy path (same bits either way) and a
+    // session is inert.
     std::optional<EncodePlan> plan;
     if (config_.use_graph_encoder && !GradMode::enabled()) {
       const int max_n = config_.use_aoi_level
@@ -204,9 +212,14 @@ RtpPrediction M2g4Rtp::Predict(const synth::Sample& sample) const {
     }
     EncodePlan* plan_ptr = plan.has_value() ? &*plan : nullptr;
     u = global_embed_->Embed(sample);
-    loc_enc = location_encoder_->Encode(g.location, u, plan_ptr);
-    if (config_.use_aoi_level) {
-      aoi_enc = aoi_encoder_->Encode(g.aoi, u, plan_ptr);
+    if (state != nullptr && plan_ptr != nullptr) {
+      EncodeWithSession(&g, u, plan_ptr, state, result, &loc_enc, &aoi_enc);
+    } else {
+      if (state != nullptr) result->fallback = IncrementalFallback::kDisabled;
+      loc_enc = location_encoder_->Encode(g.location, u, plan_ptr);
+      if (config_.use_aoi_level) {
+        aoi_enc = aoi_encoder_->Encode(g.aoi, u, plan_ptr);
+      }
     }
   }
   return DecodeWithEncodings(sample, u, loc_enc, aoi_enc);

@@ -99,8 +99,28 @@ class M2g4Rtp : public nn::Module {
                              const std::vector<int>& aoi_route,
                              const std::vector<Tensor>& aoi_times) const;
 
-  /// Predict's decode + ETA tail, shared with PredictIncremental: beam
-  /// decode and SortLSTM heads over already-encoded levels, with the
+  /// The one predict pipeline behind Predict (`state` null) and
+  /// PredictIncremental (`state` and `result` non-null): graph build,
+  /// global embed and encode under the serve.stage.graph_build/encode
+  /// spans, then DecodeWithEncodings. A null `state`, grad mode or the
+  /// BiLSTM ablation runs the stateless Encode; otherwise
+  /// EncodeWithSession runs.
+  RtpPrediction PredictPipeline(const synth::Sample& sample,
+                                IncrementalState* state,
+                                IncrementalResult* result) const;
+
+  /// PredictIncremental's session fallback chain for a live session and
+  /// a no-grad GAT-e encode: delta-encode both levels when the request
+  /// is a single-node change of `state`'s cached graphs, else a full
+  /// cached encode that rewarms `state` (which takes ownership of `*g`).
+  /// Defined in core/incremental_encode.cc.
+  void EncodeWithSession(graph::MultiLevelGraph* g, const Tensor& u,
+                         EncodePlan* plan, IncrementalState* state,
+                         IncrementalResult* result, EncodedLevel* loc_enc,
+                         EncodedLevel* aoi_enc) const;
+
+  /// The pipeline's decode + ETA tail: beam decode and SortLSTM heads
+  /// over already-encoded levels, with the
   /// serve.stage.route_decode/eta_head spans.
   RtpPrediction DecodeWithEncodings(const synth::Sample& sample,
                                     const Tensor& u,

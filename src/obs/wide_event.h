@@ -25,7 +25,7 @@ struct WideEvent {
   /// True when the request was served through an encode session's delta
   /// path (incremental re-encode) rather than a full graph encode.
   bool delta_encode = false;
-  /// SIMD dispatch tier the tensor kernels ran at ("scalar", "sse2",
+  /// SIMD dispatch tier the tensor kernels ran at ("scalar" or
   /// "avx2"). Filled by the serving layer from simd::ActiveTier() —
   /// obs/ sits below tensor/, so the value arrives as a plain string.
   /// Constant within a process unless simd::SetTier switches it, but

@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "common/check.h"
 #include "common/string_util.h"
@@ -15,31 +16,42 @@ Status FeatureExtractor::Validate(const RtpRequest& request) const {
   if (request.pending.empty()) {
     return Status::InvalidArgument("request has no pending orders");
   }
-  // A NaN or infinite coordinate or time turns every pointer score NaN,
-  // and no decode can pick a node from those.
-  const auto non_finite = [](const std::string& field) {
-    return Status::InvalidArgument(field + " is not finite");
+  // Coordinates, times and courier statistics become float features. A
+  // NaN or infinite value, or a finite one past float range, turns every
+  // pointer score NaN, and no decode can pick a node from those. The
+  // bounds are written so that NaN fails them too.
+  constexpr double kMaxMagnitude = 1e7;
+  const auto bounded = [](double x) {
+    return std::fabs(x) <= kMaxMagnitude;
   };
-  if (!std::isfinite(request.courier_pos.lat) ||
-      !std::isfinite(request.courier_pos.lng)) {
-    return non_finite("courier_pos");
-  }
-  if (!std::isfinite(request.query_time_min)) {
-    return non_finite("query_time_min");
+  const auto on_globe = [](const geo::LatLng& p) {
+    return std::fabs(p.lat) <= 90.0 && std::fabs(p.lng) <= 180.0;
+  };
+  const auto out_of_range = [](const std::string& field) {
+    return Status::InvalidArgument(field + " is not finite or out of range");
+  };
+  if (!on_globe(request.courier_pos)) return out_of_range("courier_pos");
+  if (!bounded(request.query_time_min)) return out_of_range("query_time_min");
+  const synth::CourierProfile& c = request.courier;
+  for (const auto& [field, value] :
+       {std::pair<const char*, double>{"courier.avg_working_hours",
+                                       c.avg_working_hours},
+        {"courier.avg_speed_mps", c.avg_speed_mps},
+        {"courier.attendance", c.attendance},
+        {"courier.service_time_mean_min", c.service_time_mean_min}}) {
+    if (!bounded(value)) return out_of_range(field);
   }
   for (const synth::Order& o : request.pending) {
     if (o.aoi_id < 0 || o.aoi_id >= world_->num_aois()) {
       return Status::InvalidArgument(
           StrFormat("order %d has unknown AOI id %d", o.id, o.aoi_id));
     }
-    if (!std::isfinite(o.pos.lat) || !std::isfinite(o.pos.lng)) {
-      return non_finite(StrFormat("order %d pos", o.id));
+    if (!on_globe(o.pos)) return out_of_range(StrFormat("order %d pos", o.id));
+    if (!bounded(o.accept_time_min)) {
+      return out_of_range(StrFormat("order %d accept_time_min", o.id));
     }
-    if (!std::isfinite(o.accept_time_min)) {
-      return non_finite(StrFormat("order %d accept_time_min", o.id));
-    }
-    if (!std::isfinite(o.deadline_min)) {
-      return non_finite(StrFormat("order %d deadline_min", o.id));
+    if (!bounded(o.deadline_min)) {
+      return out_of_range(StrFormat("order %d deadline_min", o.id));
     }
   }
   return Status::Ok();

@@ -28,11 +28,14 @@ class FeatureExtractor {
   explicit FeatureExtractor(const synth::World* world) : world_(world) {}
 
   /// Rejects requests BuildSample cannot resolve: an empty order list,
-  /// an order whose AOI id the world does not know, or a NaN/infinite
-  /// courier_pos, query_time_min, order pos, accept_time_min or
-  /// deadline_min (the message names the field). Requests come
-  /// from outside the process, so a bad one yields an InvalidArgument
-  /// status rather than a CHECK failure.
+  /// an order whose AOI id the world does not know, a courier_pos or
+  /// order pos outside lat [-90, 90] / lng [-180, 180], or a
+  /// query_time_min, accept_time_min, deadline_min or courier-profile
+  /// statistic (avg_working_hours, avg_speed_mps, attendance,
+  /// service_time_mean_min) that is not finite or exceeds 1e7 in
+  /// magnitude (the message names the field). Requests come from
+  /// outside the process, so a bad one yields an InvalidArgument status
+  /// rather than a CHECK failure.
   Status Validate(const RtpRequest& request) const;
 
   /// Requires Validate(request).ok().

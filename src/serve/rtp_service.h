@@ -9,7 +9,6 @@
 #include "core/model.h"
 #include "serve/encode_session.h"
 #include "serve/feature_extractor.h"
-#include "serve/graph_builder.h"
 #include "serve/model_registry.h"
 #include "tensor/pool.h"
 

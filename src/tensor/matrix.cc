@@ -222,9 +222,9 @@ void AccumulateRowMatMul(const float* x, int k, const float* b, int m,
     SparseRowMatMul(x, k, b, m, out_row);
     return;
   }
-  // Dense path: the runtime-dispatched SIMD tier (AVX2 -> SSE2 ->
-  // scalar register-blocked). Every tier adds the same terms to the
-  // same accumulators in the same ascending-p order with separate
+  // Dense path: the runtime-dispatched SIMD tier (AVX2, else the
+  // scalar register-blocked reference). Both tiers add the same terms
+  // to the same accumulators in the same ascending-p order with separate
   // mul + add instructions, so this is the branchy loop minus its
   // branches, bit for bit — see tensor/simd.h for the full contract.
   simd::DenseRowMatMul(x, k, b, m, out_row);

@@ -170,7 +170,7 @@ Matrix DualAffineRaw(const Matrix& x, const Matrix& wx, const Matrix& h,
 /// with the `x[p] == 0` skip. When the first 16 entries of the row carry
 /// no exact zeros — typical for dense hidden activations — the branchy
 /// loop is replaced by the runtime-dispatched SIMD dense kernel
-/// (tensor/simd.h: AVX2 -> SSE2 -> scalar register-blocked); it adds the
+/// (tensor/simd.h: AVX2, else scalar register-blocked); it adds the
 /// same terms to the same accumulators in the same order with separate
 /// mul + add instructions, so the result is bitwise-identical either way
 /// (a zero past the scan cap contributes a bitwise-neutral +/-0.0 term;

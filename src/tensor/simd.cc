@@ -16,9 +16,9 @@
 // This translation unit is compiled with -ffp-contract=off (see
 // src/CMakeLists.txt) and none of the target attributes below include
 // "fma", so the compiler can neither contract the separate mul/add
-// statements of the scalar tier nor emit vfmadd for the intrinsic
-// tiers: every tier performs the same two-rounding mul-then-add per
-// output element, which is what makes them bit-for-bit interchangeable.
+// statements of the scalar tier nor emit vfmadd for the AVX2 tier:
+// both tiers perform the same two-rounding mul-then-add per output
+// element, which is what makes them bit-for-bit interchangeable.
 
 namespace m2g::simd {
 namespace {
@@ -39,7 +39,7 @@ struct KernelTable {
 
 // --- Scalar tier: the bitwise reference ----------------------------------
 // (DenseRowScalar is the pre-SIMD row kernel matrix.cc carried before
-// the tier split, verbatim. simd_parity_test compares every other tier
+// the tier split, verbatim. simd_parity_test compares the AVX2 tier
 // against this one byte for byte.)
 
 /// Register-blocked dense row product: four b-rows per pass over
@@ -74,8 +74,8 @@ void DenseRowScalar(const float* x, int k, const float* b, int m,
 
 /// DenseRowsMatMul as the composition it is specified against: zero
 /// each output row, then run the tier's per-row kernel on it. This is
-/// the scalar tier's reference and the SSE2 tier's implementation (the
-/// AVX2 tier falls back to it for the rows left over after its blocks).
+/// the scalar tier's reference (the AVX2 tier falls back to it for the
+/// rows left over after its blocks).
 template <DenseRowFn Row>
 void DenseRowsByRow(const float* x, int rows, size_t x_stride, int k,
                     const float* b, int m, float* out, size_t out_stride) {
@@ -133,132 +133,6 @@ constexpr KernelTable kScalarTable = {
     &ReluScalar};
 
 #ifdef M2G_SIMD_X86
-
-// --- SSE2 tier (4 lanes) ---------------------------------------------------
-// Baseline on x86-64; the explicit target attribute keeps the functions
-// well-defined on i386 builds too.
-
-__attribute__((target("sse2"))) void DenseRowSse2(const float* x, int k,
-                                                  const float* b, int m,
-                                                  float* out_row) {
-  int p = 0;
-  for (; p + 4 <= k; p += 4) {
-    const __m128 a0 = _mm_set1_ps(x[p]);
-    const __m128 a1 = _mm_set1_ps(x[p + 1]);
-    const __m128 a2 = _mm_set1_ps(x[p + 2]);
-    const __m128 a3 = _mm_set1_ps(x[p + 3]);
-    const float* b0 = b + static_cast<size_t>(p) * m;
-    const float* b1 = b0 + m;
-    const float* b2 = b1 + m;
-    const float* b3 = b2 + m;
-    int j = 0;
-    for (; j + 4 <= m; j += 4) {
-      __m128 acc = _mm_loadu_ps(out_row + j);
-      acc = _mm_add_ps(acc, _mm_mul_ps(a0, _mm_loadu_ps(b0 + j)));
-      acc = _mm_add_ps(acc, _mm_mul_ps(a1, _mm_loadu_ps(b1 + j)));
-      acc = _mm_add_ps(acc, _mm_mul_ps(a2, _mm_loadu_ps(b2 + j)));
-      acc = _mm_add_ps(acc, _mm_mul_ps(a3, _mm_loadu_ps(b3 + j)));
-      _mm_storeu_ps(out_row + j, acc);
-    }
-    for (; j < m; ++j) {
-      float acc = out_row[j];
-      acc += x[p] * b0[j];
-      acc += x[p + 1] * b1[j];
-      acc += x[p + 2] * b2[j];
-      acc += x[p + 3] * b3[j];
-      out_row[j] = acc;
-    }
-  }
-  for (; p < k; ++p) {
-    const __m128 av = _mm_set1_ps(x[p]);
-    const float* brow = b + static_cast<size_t>(p) * m;
-    int j = 0;
-    for (; j + 4 <= m; j += 4) {
-      _mm_storeu_ps(out_row + j,
-                    _mm_add_ps(_mm_loadu_ps(out_row + j),
-                               _mm_mul_ps(av, _mm_loadu_ps(brow + j))));
-    }
-    for (; j < m; ++j) out_row[j] += x[p] * brow[j];
-  }
-}
-
-__attribute__((target("sse2"))) void EdgeEpilogueSse2(
-    const float* e3, size_t e3_stride, const float* nw4_row, const float* nw5,
-    int n, int dh, float* out, size_t out_stride, bool accumulate) {
-  const __m128 vzero = _mm_setzero_ps();
-  for (int j = 0; j < n; ++j) {
-    const float* e = e3 + j * e3_stride;
-    const float* w5 = nw5 + static_cast<size_t>(j) * dh;
-    float* o = out + j * out_stride;
-    int c = 0;
-    for (; c + 4 <= dh; c += 4) {
-      const __m128 t =
-          _mm_add_ps(_mm_loadu_ps(nw4_row + c), _mm_loadu_ps(w5 + c));
-      const __m128 v = _mm_add_ps(_mm_loadu_ps(e + c), t);
-      __m128 r = _mm_and_ps(_mm_cmpgt_ps(v, vzero), v);
-      if (accumulate) r = _mm_add_ps(_mm_loadu_ps(o + c), r);
-      _mm_storeu_ps(o + c, r);
-    }
-    for (; c < dh; ++c) {
-      const float r = EdgeValue(e[c], nw4_row[c], w5[c]);
-      o[c] = accumulate ? o[c] + r : r;
-    }
-  }
-}
-
-__attribute__((target("sse2"))) void GatLogitsSse2(const float* s_dst,
-                                                   const float* s_edge_row,
-                                                   float s_src_i, float slope,
-                                                   int n, float* logits) {
-  const __m128 vsrc = _mm_set1_ps(s_src_i);
-  const __m128 vslope = _mm_set1_ps(slope);
-  const __m128 vzero = _mm_setzero_ps();
-  int j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m128 t =
-        _mm_add_ps(_mm_loadu_ps(s_dst + j), _mm_loadu_ps(s_edge_row + j));
-    const __m128 pre = _mm_add_ps(t, vsrc);
-    const __m128 neg = _mm_mul_ps(vslope, pre);
-    // pre > 0 ? pre : slope * pre as mask arithmetic (SSE2 has no
-    // blendv): NaN lanes compare false and take the slope * pre arm,
-    // exactly like the scalar ternary.
-    const __m128 gt = _mm_cmpgt_ps(pre, vzero);
-    _mm_storeu_ps(logits + j,
-                  _mm_or_ps(_mm_and_ps(gt, pre), _mm_andnot_ps(gt, neg)));
-  }
-  for (; j < n; ++j) {
-    const float t = s_dst[j] + s_edge_row[j];
-    const float pre = t + s_src_i;
-    logits[j] = pre > 0.0f ? pre : slope * pre;
-  }
-}
-
-__attribute__((target("sse2"))) void AddSse2(float* a, const float* b,
-                                             size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm_storeu_ps(a + i,
-                  _mm_add_ps(_mm_loadu_ps(a + i), _mm_loadu_ps(b + i)));
-  }
-  for (; i < n; ++i) a[i] += b[i];
-}
-
-__attribute__((target("sse2"))) void ReluSse2(float* a, size_t n) {
-  const __m128 vzero = _mm_setzero_ps();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128 v = _mm_loadu_ps(a + i);
-    // False lanes (<= 0, -0.0, NaN) become the +0.0 bit pattern — the
-    // scalar ternary's 0.0f.
-    _mm_storeu_ps(a + i, _mm_and_ps(_mm_cmpgt_ps(v, vzero), v));
-  }
-  for (; i < n; ++i) a[i] = a[i] > 0.0f ? a[i] : 0.0f;
-}
-
-constexpr KernelTable kSse2Table = {
-    Tier::kSse2,       &DenseRowSse2,  &DenseRowsByRow<&DenseRowSse2>,
-    &EdgeEpilogueSse2, &GatLogitsSse2, &AddSse2,
-    &ReluSse2};
 
 // --- AVX2 tier (8 lanes) ---------------------------------------------------
 
@@ -593,14 +467,7 @@ constexpr KernelTable kAvx2Table = {
 
 const KernelTable* TableFor(Tier tier) {
 #ifdef M2G_SIMD_X86
-  switch (tier) {
-    case Tier::kAvx2:
-      return &kAvx2Table;
-    case Tier::kSse2:
-      return &kSse2Table;
-    case Tier::kScalar:
-      return &kScalarTable;
-  }
+  if (tier == Tier::kAvx2) return &kAvx2Table;
 #else
   (void)tier;
 #endif
@@ -626,7 +493,7 @@ const KernelTable* InitialTable() {
     } else if (std::strcmp(env, "auto") != 0 && env[0] != '\0') {
       std::fprintf(stderr,
                    "[simd] unknown M2G_SIMD value \"%s\" "
-                   "(want off|scalar|sse2|avx2|auto); using %s\n",
+                   "(want off|scalar|avx2|auto); using %s\n",
                    env, TierName(tier));
     }
   }
@@ -663,9 +530,7 @@ Tier DetectedTier() {
 #ifdef M2G_SIMD_X86
   static const Tier tier = [] {
     __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx2")) return Tier::kAvx2;
-    if (__builtin_cpu_supports("sse2")) return Tier::kSse2;
-    return Tier::kScalar;
+    return __builtin_cpu_supports("avx2") ? Tier::kAvx2 : Tier::kScalar;
   }();
   return tier;
 #else
@@ -687,10 +552,6 @@ bool ParseTierName(const char* name, Tier* out) {
     *out = Tier::kScalar;
     return true;
   }
-  if (std::strcmp(name, "sse2") == 0) {
-    *out = Tier::kSse2;
-    return true;
-  }
   if (std::strcmp(name, "avx2") == 0) {
     *out = Tier::kAvx2;
     return true;
@@ -699,15 +560,7 @@ bool ParseTierName(const char* name, Tier* out) {
 }
 
 const char* TierName(Tier tier) {
-  switch (tier) {
-    case Tier::kAvx2:
-      return "avx2";
-    case Tier::kSse2:
-      return "sse2";
-    case Tier::kScalar:
-      break;
-  }
-  return "scalar";
+  return tier == Tier::kAvx2 ? "avx2" : "scalar";
 }
 
 void DenseRowMatMul(const float* x, int k, const float* b, int m,

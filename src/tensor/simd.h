@@ -10,10 +10,11 @@ namespace m2g::simd {
 //
 // Every hot path in the library (encode/decode fast paths, training
 // matmuls, the LSTM gate block) bottoms out in the handful of row kernels
-// below. They are implemented three times in tensor/simd.cc — scalar,
-// SSE2, AVX2 — with per-function target attributes (no global -march
-// change), and the best tier the CPU supports is selected once at
-// startup via CPUID.
+// below. They are implemented twice in tensor/simd.cc — a scalar
+// reference and AVX2, the latter with per-function target attributes
+// (no global -march change) — and AVX2 is selected once at startup
+// when CPUID reports it. Scalar is the only path on non-x86 hosts and
+// on x86 hosts without AVX2.
 //
 // The parity contract every implementation obeys:
 //   * vectorize only across *independent* output elements (columns of
@@ -26,8 +27,8 @@ namespace m2g::simd {
 //     deliberately exclude "fma", so no fused-multiply-add can be
 //     emitted).
 // Under round-to-nearest, lane l of a mulps/addps pair computes exactly
-// what the scalar mulss/addss pair computes on element l, so every tier
-// is bit-for-bit identical to the scalar reference (simd_parity_test
+// what the scalar mulss/addss pair computes on element l, so the AVX2
+// tier is bit-for-bit identical to the scalar reference (simd_parity_test
 // pins this on ragged shapes, denormals, and ±inf/NaN inputs).
 //
 // Where an output element's running sum lives is not part of the
@@ -41,8 +42,9 @@ namespace m2g::simd {
 //
 // Overrides, in precedence order:
 //   * M2G_SIMD environment variable, read once at first kernel use:
-//     "off"/"scalar", "sse2", "avx2", or "auto" (the default). Requests
-//     above the detected tier clamp down with a warning.
+//     "off"/"scalar", "avx2", or "auto" (the default). Requesting AVX2
+//     on a host without it clamps down with a warning; any other value
+//     warns and falls back to "auto".
 //   * SetTier() — used by tests and benches to force a tier at runtime.
 // The active tier is exported as the tensor.simd_tier gauge (detected
 // tier as tensor.simd_tier_detected, SetTier calls as the
@@ -50,10 +52,10 @@ namespace m2g::simd {
 // events via the serving layer.
 // ---------------------------------------------------------------------------
 
-/// Dispatch tiers, ordered: a higher tier strictly extends the ISA of
-/// the lower ones. The numeric values are what the tensor.simd_tier
-/// gauge exports.
-enum class Tier : int { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+/// Dispatch tiers, ordered. The numeric values are what the
+/// tensor.simd_tier gauge exports; 1 belonged to a retired 4-lane tier
+/// and stays unused so dashboards keep their meaning.
+enum class Tier : int { kScalar = 0, kAvx2 = 2 };
 
 /// Best tier this CPU supports (CPUID, cached). Always kScalar on
 /// non-x86 builds.
@@ -63,16 +65,16 @@ Tier DetectedTier();
 Tier ActiveTier();
 
 /// Forces the dispatch tier, clamped to DetectedTier() (requesting AVX2
-/// on an SSE2-only host selects SSE2). Thread-safe; outputs are
+/// on a host without it selects scalar). Thread-safe; outputs are
 /// bitwise-identical across tiers, so switching mid-run is harmless.
 void SetTier(Tier tier);
 
-/// Maps "off"/"scalar" -> kScalar, "sse2" -> kSse2, "avx2" -> kAvx2
-/// (case-sensitive, as the M2G_SIMD values documented above). Returns
-/// false — leaving *out untouched — for anything else, including "auto".
+/// Maps "off"/"scalar" -> kScalar, "avx2" -> kAvx2 (case-sensitive, as
+/// the M2G_SIMD values documented above). Returns false — leaving *out
+/// untouched — for anything else, including "auto".
 bool ParseTierName(const char* name, Tier* out);
 
-/// "scalar", "sse2", or "avx2".
+/// "scalar" or "avx2".
 const char* TierName(Tier tier);
 
 // --- Dispatched kernels -----------------------------------------------------
@@ -100,8 +102,8 @@ void DenseRowMatMul(const float* x, int k, const float* b, int m,
 /// accumulators held across the whole reduction, in 64-row panels, and
 /// for m == 1 puts 8 rows in the lanes of one register
 /// (x is transposed 8x8 in registers, so each lane walks its own row in
-/// ascending p). The scalar and SSE2 tiers are the fill-zero + per-row
-/// composition itself. Like DenseRowMatMul this skips no zeros: callers
+/// ascending p). The scalar tier is the fill-zero + per-row composition
+/// itself. Like DenseRowMatMul this skips no zeros: callers
 /// hand it only rows their zero-scan marked dense.
 void DenseRowsMatMul(const float* x, int rows, size_t x_stride, int k,
                      const float* b, int m, float* out, size_t out_stride);

@@ -21,7 +21,6 @@
 #include "obs/trace.h"
 #include "obs/wide_event.h"
 #include "serve/eta_service.h"
-#include "serve/graph_builder.h"
 #include "serve/model_registry.h"
 #include "serve/order_sorting_service.h"
 #include "serve/replay.h"
@@ -110,16 +109,17 @@ TEST(FeatureExtractorTest, ReconstructsOfflineSampleExactly) {
   EXPECT_TRUE(online.route_label.empty());  // no labels online
 }
 
-TEST(GraphBuilderTest, OnlineGraphMatchesOffline) {
+TEST(FeatureExtractorTest, OnlineGraphMatchesOffline) {
+  // An online-extracted sample builds the same multi-level graph as the
+  // offline sample it was reconstructed from.
   ServeFixture* f = Fixture();
   FeatureExtractor extractor(&f->built.world);
-  GraphBuilder builder;
   const synth::Sample& offline = f->built.splits.test.samples.front();
   synth::Sample online =
       extractor.BuildSample(f->RequestFromSample(offline));
-  graph::MultiLevelGraph og =
-      graph::BuildMultiLevelGraph(offline, builder.config());
-  graph::MultiLevelGraph ng = builder.Build(online);
+  const graph::GraphConfig config;
+  graph::MultiLevelGraph og = graph::BuildMultiLevelGraph(offline, config);
+  graph::MultiLevelGraph ng = graph::BuildMultiLevelGraph(online, config);
   EXPECT_EQ(og.location.adjacency, ng.location.adjacency);
   EXPECT_EQ(og.aoi.adjacency, ng.aoi.adjacency);
   for (size_t i = 0; i < og.location.node_continuous.size(); ++i) {
@@ -235,9 +235,10 @@ std::shared_ptr<const core::M2g4Rtp> Borrowed(const core::M2g4Rtp* model) {
 }
 
 TEST(RtpServiceTest, EmptyOrderListIsRejectedAndServingContinues) {
-  // Requests are untrusted input: an empty order list, or a NaN/infinite
-  // coordinate or time (which would make every pointer score NaN), must
-  // cost one response, not the process.
+  // Requests are untrusted input: an empty order list, or a NaN,
+  // infinite or float-overflowing coordinate, time or courier statistic
+  // (which would make every pointer score NaN), must cost one response,
+  // not the process.
   ServeFixture* f = Fixture();
   RtpService service(&f->built.world, f->model.get());
   obs::Counter& rejected =
@@ -245,6 +246,7 @@ TEST(RtpServiceTest, EmptyOrderListIsRejectedAndServingContinues) {
   const synth::Sample& s = f->built.splits.test.samples.front();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
+  const double huge = 1e300;  // finite, but float inf once featurized
   struct BadRequest {
     const char* field;  // must appear in the status message
     std::function<void(RtpRequest*)> spoil;
@@ -258,6 +260,26 @@ TEST(RtpServiceTest, EmptyOrderListIsRejectedAndServingContinues) {
        [&](RtpRequest* r) { r->pending.front().accept_time_min = nan; }},
       {"deadline_min",
        [&](RtpRequest* r) { r->pending.back().deadline_min = inf; }},
+      {"courier_pos", [&](RtpRequest* r) { r->courier_pos.lat = huge; }},
+      {"courier_pos", [&](RtpRequest* r) { r->courier_pos.lat = 90.5; }},
+      {"courier_pos", [&](RtpRequest* r) { r->courier_pos.lng = -180.5; }},
+      {"query_time_min",
+       [&](RtpRequest* r) { r->query_time_min = huge; }},
+      {"pos", [&](RtpRequest* r) { r->pending.front().pos.lat = -91; }},
+      {"deadline_min",
+       [&](RtpRequest* r) { r->pending.front().deadline_min = huge; }},
+      {"accept_time_min",
+       [&](RtpRequest* r) { r->pending.back().accept_time_min = -huge; }},
+      {"courier.avg_working_hours",
+       [&](RtpRequest* r) { r->courier.avg_working_hours = nan; }},
+      {"courier.avg_speed_mps",
+       [&](RtpRequest* r) { r->courier.avg_speed_mps = inf; }},
+      {"courier.avg_speed_mps",
+       [&](RtpRequest* r) { r->courier.avg_speed_mps = huge; }},
+      {"courier.attendance",
+       [&](RtpRequest* r) { r->courier.attendance = -inf; }},
+      {"courier.service_time_mean_min",
+       [&](RtpRequest* r) { r->courier.service_time_mean_min = nan; }},
   };
   for (const BadRequest& c : cases) {
     SCOPED_TRACE(c.field);
@@ -286,10 +308,25 @@ TEST(RtpServiceTest, EmptyOrderListIsRejectedAndServingContinues) {
   }
   EXPECT_EQ(service.requests_served(), 0);
 
-  // The process keeps serving valid requests.
+  // The process keeps serving valid requests, including ones with every
+  // bounded field at its limit.
   RtpService::Response ok = service.Handle(f->RequestFromSample(s));
   ASSERT_TRUE(ok.status.ok()) << ok.status.ToString();
   EXPECT_EQ(static_cast<int>(ok.prediction.location_route.size()),
+            s.num_locations());
+  RtpRequest edge = f->RequestFromSample(s);
+  edge.query_time_min = 1e7;
+  edge.courier.avg_working_hours = 1e7;
+  edge.courier.avg_speed_mps = -1e7;
+  edge.courier.attendance = 1e7;
+  edge.courier.service_time_mean_min = -1e7;
+  for (synth::Order& o : edge.pending) {
+    o.accept_time_min = -1e7;
+    o.deadline_min = 1e7;
+  }
+  RtpService::Response at_limit = service.Handle(edge);
+  ASSERT_TRUE(at_limit.status.ok()) << at_limit.status.ToString();
+  EXPECT_EQ(static_cast<int>(at_limit.prediction.location_route.size()),
             s.num_locations());
 }
 

@@ -27,9 +27,6 @@ namespace {
 /// an unsupported tier would silently retest a lower one — skip those).
 std::vector<simd::Tier> SupportedTiers() {
   std::vector<simd::Tier> tiers = {simd::Tier::kScalar};
-  if (simd::DetectedTier() >= simd::Tier::kSse2) {
-    tiers.push_back(simd::Tier::kSse2);
-  }
   if (simd::DetectedTier() >= simd::Tier::kAvx2) {
     tiers.push_back(simd::Tier::kAvx2);
   }
@@ -441,9 +438,11 @@ TEST_F(SimdParityTest, TierNamesParseAndClamp) {
   EXPECT_EQ(tier, simd::Tier::kScalar);
   EXPECT_TRUE(simd::ParseTierName("scalar", &tier));
   EXPECT_EQ(tier, simd::Tier::kScalar);
-  EXPECT_TRUE(simd::ParseTierName("sse2", &tier));
-  EXPECT_EQ(tier, simd::Tier::kSse2);
   EXPECT_TRUE(simd::ParseTierName("avx2", &tier));
+  EXPECT_EQ(tier, simd::Tier::kAvx2);
+  // The retired 4-lane tier's name no longer parses (M2G_SIMD falls
+  // back to "auto" with a warning); *out stays untouched.
+  EXPECT_FALSE(simd::ParseTierName("sse2", &tier));
   EXPECT_EQ(tier, simd::Tier::kAvx2);
   EXPECT_FALSE(simd::ParseTierName("auto", &tier));
   EXPECT_FALSE(simd::ParseTierName("AVX512", &tier));
@@ -454,7 +453,6 @@ TEST_F(SimdParityTest, TierNamesParseAndClamp) {
   simd::SetTier(simd::Tier::kAvx2);
   EXPECT_LE(simd::ActiveTier(), simd::DetectedTier());
   EXPECT_STREQ(simd::TierName(simd::Tier::kScalar), "scalar");
-  EXPECT_STREQ(simd::TierName(simd::Tier::kSse2), "sse2");
   EXPECT_STREQ(simd::TierName(simd::Tier::kAvx2), "avx2");
 }
 
