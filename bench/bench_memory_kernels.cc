@@ -9,7 +9,7 @@
 // (any pool miss after warmup), if pooling saves fewer than 5x the
 // per-request tensor heap allocations, or if any fused kernel runs
 // slower than the unfused composition it replaced (floor 0.9x for
-// timer noise; M2G_BENCH_KERNEL_MIN_SPEEDUP overrides). Kernel timing
+// timer noise). Kernel timing
 // is bench::MeasureAb: interleaved fused/unfused rounds, the speedup
 // being the median per-round ratio, printed with its IQR. The speedup
 // gate exists because a fused kernel that loses to its reference is a
@@ -17,7 +17,6 @@
 // at ~0.5x for two PRs before anything failed.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -296,11 +295,7 @@ int main(int argc, char** argv) {
                    ratio);
       ++failures;
     }
-    double min_kernel_speedup = 0.9;
-    if (const char* v = std::getenv("M2G_BENCH_KERNEL_MIN_SPEEDUP")) {
-      const double s = std::atof(v);
-      if (s > 0) min_kernel_speedup = s;
-    }
+    constexpr double min_kernel_speedup = 0.9;
     for (const KernelRow& row : kernel_rows) {
       const double speedup = row.speedup();
       if (speedup < min_kernel_speedup) {

@@ -3,9 +3,10 @@
 // disabled path is a strict upper bound on a compiled-out M2G_OBS_DISABLED
 // build, which removes even the relaxed-load gate) and reports the
 // telemetry tax on end-to-end serving latency. The enabled side runs the
-// full pipeline — request-scoped trace trees, per-stage spans, and wide
-// events at default (keep-everything) sampling — so the budget gates
-// tracing and structured logging, not just histogram records.
+// full pipeline — per-stage spans collected into each request's trace
+// tree, and wide events carrying those trees at default
+// (keep-everything) sampling — so the budget gates tracing and
+// structured logging, not just histogram records.
 //
 // `--smoke` runs a reduced configuration for CI and exits nonzero when
 //   * instrumented serving is more than 3% slower than uninstrumented
@@ -15,7 +16,7 @@
 //   * or the exported snapshot is missing any of the per-stage serving
 //     histograms, the wide-event counters, the service request counters,
 //     the tensor-pool counters or the thread-pool queue-depth gauge,
-//   * or no trace trees / wide events were retained.
+//   * or no wide events, or none carrying a trace tree, were retained.
 // It also dumps the final snapshot to m2g_metrics.prom / m2g_metrics.json
 // plus sample traces.json / events.jsonl (uploaded as CI artifacts).
 
@@ -28,7 +29,6 @@
 #include "core/model.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "obs/wide_event.h"
 #include "serve/eta_service.h"
 #include "serve/replay.h"
@@ -177,7 +177,11 @@ int main(int argc, char** argv) {
   std::printf("  overhead: %.2f%% (iqr %.2f%%)\n", 100.0 * overhead,
               100.0 * ab.ratio.iqr());
 
-  const size_t trace_trees = m2g::obs::RecentTraceTrees().size();
+  size_t trace_trees = 0;
+  for (const m2g::obs::WideEvent& e :
+       m2g::obs::WideEventSink::Global().Recent()) {
+    if (!e.spans.empty()) ++trace_trees;
+  }
   const uint64_t wide_events = m2g::obs::WideEventSink::Global().recorded();
 
   // Final snapshot out to disk (CI uploads these as artifacts) and the

@@ -12,6 +12,7 @@
 
 #include "common/stopwatch.h"
 #include "eval/rtp_model.h"
+#include "obs/export.h"
 #include "synth/dataset.h"
 
 namespace m2g::bench {
@@ -169,31 +170,7 @@ class JsonValue {
     return JsonValue(Kind::kScalar, v ? "true" : "false");
   }
   static JsonValue String(const std::string& s) {
-    std::string out = "\"";
-    for (char ch : s) {
-      switch (ch) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        case '\b': out += "\\b"; break;
-        case '\f': out += "\\f"; break;
-        default:
-          // Remaining control characters (RFC 8259 requires escaping all
-          // of U+0000..U+001F) as \u00XX; everything else verbatim.
-          if (static_cast<unsigned char>(ch) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x",
-                          static_cast<unsigned>(static_cast<unsigned char>(ch)));
-            out += buf;
-          } else {
-            out += ch;
-          }
-      }
-    }
-    out += '"';
-    return JsonValue(Kind::kScalar, std::move(out));
+    return JsonValue(Kind::kScalar, "\"" + obs::JsonEscape(s) + "\"");
   }
 
   /// Object member (insertion order preserved). Returns *this to chain.

@@ -15,8 +15,9 @@
 // also accepts --log_level=debug|info|warning|error,
 // --metrics_out=FILE (telemetry snapshot; ".json" suffix selects the
 // JSON exporter, anything else the Prometheus text format), and the
-// observability knobs --obs_enabled / --trace_tree_ring /
-// --obs_head_sample / --obs_tail_ms.
+// observability knobs --obs_enabled / --obs_head_sample / --obs_tail_ms.
+// `serve --traces_out` writes the span trees of the wide events kept in
+// the event ring (the same trees /traces serves).
 
 #include <algorithm>
 #include <cstdio>
@@ -54,7 +55,6 @@ int Usage() {
       "           [--events_out FILE]\n"
       "common:    [--log_level debug|info|warning|error]\n"
       "           [--metrics_out FILE[.json]] [--obs_enabled BOOL]\n"
-      "           [--trace_tree_ring N]\n"
       "           [--obs_head_sample N] [--obs_tail_ms X]\n");
   return 2;
 }

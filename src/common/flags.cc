@@ -1,11 +1,9 @@
 #include "common/flags.h"
 
-#include <algorithm>
 #include <cstdlib>
 
 #include "common/logging.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "obs/wide_event.h"
 
 namespace m2g {
@@ -84,10 +82,6 @@ bool FlagParser::ApplyLogLevelFlag() const {
 
 void FlagParser::ApplyObsFlags() const {
   if (Has("obs_enabled")) obs::SetEnabled(GetBool("obs_enabled", true));
-  if (Has("trace_tree_ring")) {
-    obs::SetTraceTreeRingCapacity(
-        static_cast<size_t>(std::max(0, GetInt("trace_tree_ring", 64))));
-  }
   if (Has("obs_head_sample") || Has("obs_tail_ms")) {
     obs::WideEventOptions options = obs::WideEventSink::Global().options();
     options.head_sample_every =

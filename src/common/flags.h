@@ -39,9 +39,8 @@ class FlagParser {
 
   /// Applies the observability knobs when present, leaving absent ones
   /// untouched: --obs_enabled=false (runtime kill switch),
-  /// --trace_tree_ring=N (trace-tree ring), --obs_head_sample=N (keep
-  /// every Nth wide event), --obs_tail_ms=X (always keep wide events
-  /// at/over X ms total).
+  /// --obs_head_sample=N (keep every Nth wide event and its trace tree),
+  /// --obs_tail_ms=X (always keep wide events at/over X ms total).
   void ApplyObsFlags() const;
 
  private:

@@ -68,8 +68,9 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
   stream_ << "[" << LevelName(level) << " " << base << ":" << line;
   // Correlate log lines with the request trace working on this thread,
   // so a wide event / span tree and its logs join on one id.
-  const obs::TraceContext ctx = obs::CurrentTraceContext();
-  if (ctx.active()) stream_ << " trace=" << ctx.trace_id;
+  if (const uint64_t trace_id = obs::CurrentTraceId()) {
+    stream_ << " trace=" << trace_id;
+  }
   stream_ << "] ";
 }
 

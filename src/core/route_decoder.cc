@@ -25,6 +25,12 @@ obs::Counter& FastStepCounter() {
   return c;
 }
 
+obs::Counter& NonfiniteStepCounter() {
+  static obs::Counter& c =
+      obs::MetricsRegistry::Global().counter("decode.nonfinite_steps");
+  return c;
+}
+
 obs::Counter& LegacyStepCounter() {
   static obs::Counter& c =
       obs::MetricsRegistry::Global().counter("decode.legacy_steps");
@@ -41,9 +47,15 @@ struct Expansion {
 /// Shared beam ordering: by score, then hypothesis index, then node id.
 /// The secondary keys make equal-score selections deterministic across
 /// platforms and across the fast/legacy paths (std::partial_sort is
-/// unstable, so score-only comparison could keep either candidate).
+/// unstable, so score-only comparison could keep either candidate). A
+/// NaN score sorts after every number, which keeps this a strict weak
+/// order (std::partial_sort is undefined otherwise) and leaves finite
+/// scores in their usual order.
 bool ExpansionBefore(const Expansion& a, const Expansion& b) {
-  if (a.logp != b.logp) return a.logp > b.logp;
+  const bool a_nan = std::isnan(a.logp);
+  const bool b_nan = std::isnan(b.logp);
+  if (a_nan != b_nan) return b_nan;
+  if (!a_nan && a.logp != b.logp) return a.logp > b.logp;
   if (a.hyp != b.hyp) return a.hyp < b.hyp;
   return a.node < b.node;
 }
@@ -214,6 +226,14 @@ std::vector<int> AttentionRouteDecoder::DecodeGreedy(
         best = sc;
         pick = i;
       }
+    }
+    if (pick < 0) {
+      // No score beats -inf (all NaN or -inf): take the lowest-index
+      // unvisited node rather than index the mask with -1.
+      pick = static_cast<int>(std::find(unvisited.begin(), unvisited.end(),
+                                        true) -
+                              unvisited.begin());
+      NonfiniteStepCounter().Increment();
     }
     route.push_back(pick);
     unvisited[pick] = false;

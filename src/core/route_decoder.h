@@ -62,7 +62,9 @@ class AttentionRouteDecoder : public nn::Module {
                                  const std::vector<int>& label_route) const;
 
   /// Inference pass: greedy argmax decoding (Eq. 31) on the fast path.
-  /// Returns a permutation of {0..n-1}.
+  /// Returns a permutation of {0..n-1}, even for non-finite inputs: a
+  /// step where no score beats -inf takes the lowest-index unvisited
+  /// node and counts in `decode.nonfinite_steps`.
   std::vector<int> DecodeGreedy(const Tensor& nodes,
                                 const Tensor& courier) const;
 

@@ -2,10 +2,12 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 #include "obs/export.h"
@@ -33,6 +35,23 @@ const char* StatusText(int status) {
       return "Method Not Allowed";
     default:
       return "Error";
+  }
+}
+
+using Clock = std::chrono::steady_clock;
+
+/// Waits until `fd` is ready for `events` or `deadline` passes; false on
+/// timeout or error.
+bool WaitReady(int fd, short events, Clock::time_point deadline) {
+  for (;;) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          deadline - Clock::now())
+                          .count();
+    if (left <= 0) return false;
+    pollfd p{fd, events, 0};
+    const int ready = ::poll(&p, 1, static_cast<int>(left));
+    if (ready > 0) return true;
+    if (ready == 0 || errno != EINTR) return false;
   }
 }
 
@@ -100,11 +119,6 @@ void AdminServer::Stop() {
   ::close(listen_fd_);
   if (accept_thread_.joinable()) accept_thread_.join();
   listen_fd_ = -1;
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  for (auto& conn : conns_) {
-    if (conn->thread.joinable()) conn->thread.join();
-  }
-  conns_.clear();
 }
 
 void AdminServer::AcceptLoop() {
@@ -115,36 +129,25 @@ void AdminServer::AcceptLoop() {
       // Listen socket closed (Stop) or unrecoverable: exit the loop.
       return;
     }
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    ReapFinishedLocked();
-    conns_.push_back(std::make_unique<Conn>());
-    Conn* conn = conns_.back().get();
-    conn->thread = std::thread([this, conn, fd] {
-      ServeConnection(fd);
-      conn->done.store(true, std::memory_order_release);
-    });
-  }
-}
-
-void AdminServer::ReapFinishedLocked() {
-  for (size_t i = 0; i < conns_.size();) {
-    if (conns_[i]->done.load(std::memory_order_acquire)) {
-      if (conns_[i]->thread.joinable()) conns_[i]->thread.join();
-      conns_.erase(conns_.begin() + static_cast<long>(i));
-    } else {
-      ++i;
-    }
+    ServeConnection(fd);
   }
 }
 
 void AdminServer::ServeConnection(int fd) {
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::milliseconds(kConnectionDeadlineMs);
   // Read until the end of the request head (we ignore any body: GET
   // only). A tiny fixed cap keeps a misbehaving client from buffering
-  // unbounded data into an admin process.
+  // unbounded data into an admin process; a client that has not sent a
+  // full head by the deadline is dropped without a response.
   std::string request;
   char buf[2048];
   while (request.size() < 16 * 1024 &&
          request.find("\r\n\r\n") == std::string::npos) {
+    if (!WaitReady(fd, POLLIN, deadline)) {
+      ::close(fd);
+      return;
+    }
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n <= 0) break;
     request.append(buf, static_cast<size_t>(n));
@@ -174,9 +177,11 @@ void AdminServer::ServeConnection(int fd) {
   head += "Connection: close\r\n\r\n";
   const std::string payload = head + response.body;
   size_t sent = 0;
-  while (sent < payload.size()) {
-    const ssize_t n =
-        ::send(fd, payload.data() + sent, payload.size() - sent, MSG_NOSIGNAL);
+  while (sent < payload.size() && WaitReady(fd, POLLOUT, deadline)) {
+    // Non-blocking: poll reported room, and a blocking send of the rest
+    // could outlast the deadline.
+    const ssize_t n = ::send(fd, payload.data() + sent, payload.size() - sent,
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
     if (n <= 0) break;
     sent += static_cast<size_t>(n);
   }

@@ -4,11 +4,8 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 namespace m2g::obs {
 
@@ -43,14 +40,22 @@ struct HttpResponse {
 ///   GET /events       recent wide events (JSON)
 ///   GET /healthz      liveness + uptime + caller-supplied fields
 ///
-/// Deliberately dependency-free (raw POSIX sockets, one std::thread per
-/// connection): obs/ sits below common/, so it cannot use ThreadPool,
-/// Status, or logging. An admin scrape is rare and small; per-connection
-/// threads are reaped opportunistically and joined on Stop. Not a
-/// general-purpose HTTP server: GET only, Connection: close, no TLS —
-/// bind it to loopback (the default) or a trusted network.
+/// Deliberately dependency-free (raw POSIX sockets, one accept thread):
+/// obs/ sits below common/, so it cannot use ThreadPool, Status, or
+/// logging. An admin scrape is rare and small, so the accept thread
+/// serves each connection itself, one at a time, and gives it at most
+/// kConnectionDeadlineMs in total to send its request and take the
+/// response before dropping it. An idle or slow client therefore holds
+/// no thread of its own and delays other scrapes and Stop() by at most
+/// that deadline. Not a general-purpose HTTP server: GET only,
+/// Connection: close, no TLS — bind it to loopback (the default) or a
+/// trusted network.
 class AdminServer {
  public:
+  /// Total time one connection may take, request read and response
+  /// write together.
+  static constexpr int kConnectionDeadlineMs = 1000;
+
   explicit AdminServer(AdminOptions options = {});
   ~AdminServer();
 
@@ -62,8 +67,9 @@ class AdminServer {
   /// already running.
   bool Start(std::string* error = nullptr);
 
-  /// Stops accepting, closes the listen socket, and joins every
-  /// connection thread. Idempotent; also called by the destructor.
+  /// Stops accepting, closes the listen socket, and joins the accept
+  /// thread, which first finishes (or times out) the connection it is
+  /// serving. Idempotent; also called by the destructor.
   void Stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
@@ -80,14 +86,8 @@ class AdminServer {
   HttpResponse HandlePath(const std::string& path) const;
 
  private:
-  struct Conn {
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-
   void AcceptLoop();
   void ServeConnection(int fd);
-  void ReapFinishedLocked();
 
   AdminOptions options_;
   std::atomic<bool> running_{false};
@@ -95,8 +95,6 @@ class AdminServer {
   int port_ = 0;
   std::thread accept_thread_;
   std::atomic<uint64_t> requests_{0};
-  std::mutex conn_mu_;
-  std::vector<std::unique_ptr<Conn>> conns_;
 };
 
 }  // namespace m2g::obs

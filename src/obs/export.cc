@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "obs/trace.h"
 #include "obs/wide_event.h"
 
 namespace m2g::obs {
@@ -153,18 +152,19 @@ std::string ExportJson() {
 }
 
 std::string ExportTracesJson() {
-  const std::vector<TraceTree> trees = RecentTraceTrees();
+  const std::vector<WideEvent> events = WideEventSink::Global().Recent();
   std::string out = "[";
   bool first_tree = true;
-  for (const TraceTree& tree : trees) {
+  for (const WideEvent& event : events) {
+    // Events recorded outside a RequestTrace carry no tree.
+    if (event.trace_id == 0) continue;
     out += first_tree ? "\n  " : ",\n  ";
     first_tree = false;
-    out += "{\"trace_id\": " + Num(tree.trace_id) + ", \"tag\": \"" +
-           JsonEscape(tree.tag) + "\", \"spans\": [";
+    out += "{\"trace_id\": " + Num(event.trace_id) + ", \"tag\": \"" +
+           JsonEscape(event.tag) + "\", \"spans\": [";
     // Index spans by id to build parent -> children edges; spans whose
-    // parent is 0 or absent (e.g. the trace outlived part of the ring)
-    // render as roots.
-    const std::vector<TraceEvent>& spans = tree.spans;
+    // parent is 0 or absent render as roots.
+    const std::vector<TraceEvent>& spans = event.spans;
     std::vector<std::vector<size_t>> children(spans.size());
     std::vector<bool> is_root(spans.size(), true);
     for (size_t i = 0; i < spans.size(); ++i) {

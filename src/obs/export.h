@@ -21,10 +21,11 @@ std::string ExportJson(const MetricsSnapshot& snapshot);
 std::string ExportPrometheus();
 std::string ExportJson();
 
-/// The recent trace-tree ring as a JSON array of nested trees:
-/// [{"trace_id", "tag", "spans": [{stage, span_id, parent_span_id,
-/// start_ms, duration_ms, thread_slot, children: [...]}]}]. Orphaned spans (parent missing from the tree)
-/// surface as extra roots rather than being dropped.
+/// The span trees of the recent wide-event ring as a JSON array of
+/// nested trees: [{"trace_id", "tag", "spans": [{stage, span_id,
+/// parent_span_id, start_ms, duration_ms, thread_slot, children:
+/// [...]}]}]. Orphaned spans (parent missing from the tree) surface as
+/// extra roots rather than being dropped.
 std::string ExportTracesJson();
 
 /// The recent wide-event ring as a JSON array (same objects as the

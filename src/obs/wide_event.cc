@@ -38,7 +38,7 @@ WideEventOptions WideEventSink::options() const {
   return options_;
 }
 
-void WideEventSink::RecordImpl(const WideEvent& event) {
+void WideEventSink::RecordImpl(WideEvent&& event) {
   const uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
   const bool head_keep =
@@ -54,12 +54,14 @@ void WideEventSink::RecordImpl(const WideEvent& event) {
   RecordedCounter().Increment();
   if (options_.ring_capacity == 0) return;
   if (ring_.size() < options_.ring_capacity) {
-    ring_.push_back(event);
+    ring_.push_back(std::move(event));
     next_ = ring_.size() % options_.ring_capacity;
     wrapped_ = ring_.size() == options_.ring_capacity && next_ == 0;
     return;
   }
-  ring_[next_] = event;
+  // The evicted event lands in `event` and is freed after the lock is
+  // released.
+  std::swap(ring_[next_], event);
   next_ = (next_ + 1) % options_.ring_capacity;
   wrapped_ = true;
 }

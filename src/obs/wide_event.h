@@ -5,11 +5,25 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
 
 namespace m2g::obs {
+
+/// One completed span of a request trace. `stage` points at the literal
+/// passed to TraceSpan (spans must be constructed with string literals /
+/// static storage). Span ids are dense within their trace, starting at
+/// 1; `parent_span_id == 0` marks a root.
+struct TraceEvent {
+  const char* stage = nullptr;
+  double start_ms = 0;     // steady-clock offset from process start
+  double duration_ms = 0;
+  int thread_slot = 0;
+  uint64_t span_id = 0;
+  uint64_t parent_span_id = 0;
+};
 
 /// One structured event per served request: everything a latency or
 /// drift investigation wants to slice by, denormalized into a single
@@ -46,6 +60,9 @@ struct WideEvent {
   /// pool traffic lands in whichever window observes it).
   uint64_t pool_hit_delta = 0;
   uint64_t pool_miss_delta = 0;
+  /// The request's span tree, in completion order. Rendered by /traces
+  /// (ExportTracesJson); the JSONL line leaves it out.
+  std::vector<TraceEvent> spans;
 };
 
 /// Sampling and retention knobs. The defaults keep every event (head
@@ -60,7 +77,8 @@ struct WideEventOptions {
   /// when head sampling would drop them (tail sampling: the slow
   /// requests are the ones worth debugging).
   double tail_keep_over_ms = 250.0;
-  /// Ring of recent kept events served by /events.
+  /// Ring of recent kept events (with their span trees) served by
+  /// /events and /traces.
   size_t ring_capacity = 256;
 };
 
@@ -79,9 +97,9 @@ class WideEventSink {
   void Configure(const WideEventOptions& options);
   WideEventOptions options() const;
 
-  void Record(const WideEvent& event) {
+  void Record(WideEvent event) {
 #ifndef M2G_OBS_DISABLED
-    if (Enabled()) RecordImpl(event);
+    if (Enabled()) RecordImpl(std::move(event));
 #else
     (void)event;
 #endif
@@ -107,7 +125,7 @@ class WideEventSink {
   bool WriteJsonl(const std::string& path) const;
 
  private:
-  void RecordImpl(const WideEvent& event);
+  void RecordImpl(WideEvent&& event);
 
   mutable std::mutex mu_;
   WideEventOptions options_;

@@ -9,6 +9,7 @@
 
 #include "common/check.h"
 #include "common/string_util.h"
+#include "synth/time_model.h"
 
 namespace m2g::serve {
 
@@ -30,6 +31,16 @@ Status FeatureExtractor::Validate(const RtpRequest& request) const {
   const auto out_of_range = [](const std::string& field) {
     return Status::InvalidArgument(field + " is not finite or out of range");
   };
+  // The embedding tables clamp an out-of-range code, which would
+  // silently answer for a different weather or weekday.
+  if (request.weather < 0 || request.weather >= synth::kNumWeatherCodes) {
+    return Status::InvalidArgument(
+        StrFormat("weather code %d is out of range", request.weather));
+  }
+  if (request.weekday < 0 || request.weekday >= 7) {
+    return Status::InvalidArgument(
+        StrFormat("weekday %d is out of range", request.weekday));
+  }
   if (!on_globe(request.courier_pos)) return out_of_range("courier_pos");
   if (!bounded(request.query_time_min)) return out_of_range("query_time_min");
   const synth::CourierProfile& c = request.courier;
@@ -53,6 +64,17 @@ Status FeatureExtractor::Validate(const RtpRequest& request) const {
     if (!bounded(o.deadline_min)) {
       return out_of_range(StrFormat("order %d deadline_min", o.id));
     }
+  }
+  // Order ids key the answer (EstimateOrder, NodeIndexOfOrder): a
+  // duplicate would be answered for whichever copy comes first.
+  std::vector<int> ids;
+  ids.reserve(request.pending.size());
+  for (const synth::Order& o : request.pending) ids.push_back(o.id);
+  std::sort(ids.begin(), ids.end());
+  const auto dup = std::adjacent_find(ids.begin(), ids.end());
+  if (dup != ids.end()) {
+    return Status::InvalidArgument(
+        StrFormat("duplicate order id %d", *dup));
   }
   return Status::Ok();
 }

@@ -33,9 +33,11 @@ class FeatureExtractor {
   /// query_time_min, accept_time_min, deadline_min or courier-profile
   /// statistic (avg_working_hours, avg_speed_mps, attendance,
   /// service_time_mean_min) that is not finite or exceeds 1e7 in
-  /// magnitude (the message names the field). Requests come from
-  /// outside the process, so a bad one yields an InvalidArgument status
-  /// rather than a CHECK failure.
+  /// magnitude (the message names the field), a weather code outside
+  /// [0, synth::kNumWeatherCodes), a weekday outside [0, 7), or two
+  /// orders sharing an id. Requests come from outside the process, so a
+  /// bad one yields an InvalidArgument status rather than a CHECK
+  /// failure.
   Status Validate(const RtpRequest& request) const;
 
   /// Requires Validate(request).ok().

@@ -9,13 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <thread>
 #include <vector>
 
 #include "core/route_decoder.h"
+#include "obs/metrics.h"
 #include "tensor/grad_mode.h"
 #include "tensor/ops.h"
 #include "tensor/pool.h"
@@ -136,6 +139,46 @@ TEST(DecodeParityTest, AllZeroScoresBreakTiesByHypothesisThenNode) {
     EXPECT_EQ(f.decoder->DecodeBeamLegacy(f.nodes, f.courier, width),
               identity)
         << "legacy width=" << width;
+  }
+}
+
+bool IsPermutation(std::vector<int> route, int n) {
+  std::sort(route.begin(), route.end());
+  for (int i = 0; i < n; ++i) {
+    if (i >= static_cast<int>(route.size()) || route[i] != i) return false;
+  }
+  return static_cast<int>(route.size()) == n;
+}
+
+// Non-finite node rows make pointer scores NaN. Every decoder must still
+// return a permutation: a greedy step where no score beats -inf takes
+// the lowest-index unvisited node (and is counted), and NaN beam scores
+// sort after every number.
+TEST(DecodeParityTest, NanNodeRowsStillDecodeToPermutations) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  obs::Counter& nonfinite =
+      obs::MetricsRegistry::Global().counter("decode.nonfinite_steps");
+  for (const std::vector<int>& nan_rows :
+       std::vector<std::vector<int>>{{2, 5}, {0, 1, 2, 3, 4, 5, 6, 7}}) {
+    SCOPED_TRACE(nan_rows.size());
+    const int n = 8;
+    Fixture f(n);
+    for (int r : nan_rows) {
+      for (int j = 0; j < kNodeDim; ++j) f.nodes.node()->value.At(r, j) = nan;
+    }
+    const uint64_t before = nonfinite.Value();
+    const std::vector<int> greedy = f.decoder->DecodeGreedy(f.nodes, f.courier);
+    EXPECT_TRUE(IsPermutation(greedy, n));
+    // NaN rows never win a comparison, so they come last, lowest first.
+    EXPECT_TRUE(std::equal(nan_rows.begin(), nan_rows.end(),
+                           greedy.end() - static_cast<long>(nan_rows.size())));
+#ifndef M2G_OBS_DISABLED
+    EXPECT_EQ(nonfinite.Value() - before, nan_rows.size());
+#else
+    (void)before;
+#endif
+    EXPECT_EQ(f.decoder->DecodeBeam(f.nodes, f.courier, 1), greedy);
+    EXPECT_TRUE(IsPermutation(f.decoder->DecodeBeam(f.nodes, f.courier, 5), n));
   }
 }
 

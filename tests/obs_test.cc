@@ -1,8 +1,8 @@
 // Telemetry layer: counters, gauges, histogram bucket math, quantile
-// interpolation, cross-thread merge exactness, the trace ring, request
-// trace trees + wide events, the admin endpoint and the exporters. The
-// concurrent tests double as the TSan surface for the lock-free
-// recording paths.
+// interpolation, cross-thread merge exactness, thread-owned request
+// trace trees carried by wide events, the admin endpoint and the
+// exporters. The concurrent tests double as the TSan surface for the
+// lock-free recording paths.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -334,8 +335,8 @@ TEST(TraceTest, UntracedSpanFeedsItsStageHistogram) {
   // records its duration into the stage histogram, and joins no tree.
   M2G_SKIP_IF_OBS_DISABLED();
   SetEnabled(true);
-  ClearTraceTrees();
-  ASSERT_FALSE(CurrentTraceContext().active());
+  WideEventSink::Global().Clear();
+  ASSERT_EQ(CurrentTraceId(), 0u);
   Histogram h(DefaultLatencyBucketsMs());
   {
     TraceSpan span("obs_test.stage", &h);
@@ -343,7 +344,7 @@ TEST(TraceTest, UntracedSpanFeedsItsStageHistogram) {
   const HistogramSnapshot s = h.Snapshot();
   EXPECT_EQ(s.count, 1u);
   EXPECT_GE(s.max, 0.0);
-  EXPECT_TRUE(RecentTraceTrees().empty());
+  EXPECT_TRUE(WideEventSink::Global().Recent().empty());
 }
 
 TEST(TraceTest, ConcurrentSpansAreExactlyCounted) {
@@ -382,40 +383,8 @@ TEST(EnabledTest, DisabledCountersAndSpansAreNoOps) {
   EXPECT_TRUE(Enabled());
 }
 
-TEST(TraceContextTest, ScopeInstallsAndRestoresNested) {
-  EXPECT_FALSE(CurrentTraceContext().active());
-  {
-    TraceContextScope outer(TraceContext{7, 1});
-    EXPECT_EQ(CurrentTraceContext().trace_id, 7u);
-    EXPECT_EQ(CurrentTraceContext().span_id, 1u);
-    {
-      TraceContextScope inner(TraceContext{9, 4});
-      EXPECT_EQ(CurrentTraceContext().trace_id, 9u);
-      EXPECT_EQ(CurrentTraceContext().span_id, 4u);
-    }
-    EXPECT_EQ(CurrentTraceContext().trace_id, 7u);
-    EXPECT_EQ(CurrentTraceContext().span_id, 1u);
-  }
-  EXPECT_FALSE(CurrentTraceContext().active());
-}
-
-TEST(TraceContextTest, ContextIsThreadLocal) {
-  TraceContextScope scope(TraceContext{11, 2});
-  TraceContext seen;
-  std::thread t([&seen] { seen = CurrentTraceContext(); });
-  t.join();
-  EXPECT_FALSE(seen.active());
-  EXPECT_EQ(CurrentTraceContext().trace_id, 11u);
-}
-
-uint64_t FixedIdSource() { return 4242; }
-
-TEST(TraceContextTest, IdSourceIsInjectableAndResettable) {
-  SetTraceIdSource(&FixedIdSource);
-  EXPECT_EQ(NextTraceId(), 4242u);
-  EXPECT_EQ(NextTraceId(), 4242u);
-  // ResetTraceIds restores the counter and rewinds it: deterministic
-  // ids for a deterministic workload.
+TEST(TraceIdTest, ResetRewindsTheCounter) {
+  // Deterministic ids for a deterministic workload.
   ResetTraceIds(100);
   EXPECT_EQ(NextTraceId(), 100u);
   EXPECT_EQ(NextTraceId(), 101u);
@@ -424,10 +393,27 @@ TEST(TraceContextTest, IdSourceIsInjectableAndResettable) {
   ResetTraceIds();
 }
 
+TEST(TraceIdTest, CurrentTraceIdBelongsToTheServingThread) {
+  M2G_SKIP_IF_OBS_DISABLED();
+  SetEnabled(true);
+  WideEventSink::Global().Configure(WideEventOptions{});
+  ResetTraceIds(5);
+  EXPECT_EQ(CurrentTraceId(), 0u);
+  {
+    RequestTrace trace("owner");
+    EXPECT_EQ(CurrentTraceId(), 5u);
+    uint64_t seen = 1;
+    std::thread other([&seen] { seen = CurrentTraceId(); });
+    other.join();
+    EXPECT_EQ(seen, 0u);
+  }
+  EXPECT_EQ(CurrentTraceId(), 0u);
+  WideEventSink::Global().Clear();
+}
+
 TEST(RequestTraceTest, BuildsTreeAccumulatesStagesAndEmitsWideEvent) {
   M2G_SKIP_IF_OBS_DISABLED();
   SetEnabled(true);
-  ClearTraceTrees();
   WideEventSink::Global().Configure(WideEventOptions{});
   ResetTraceIds(1);
   {
@@ -439,50 +425,44 @@ TEST(RequestTraceTest, BuildsTreeAccumulatesStagesAndEmitsWideEvent) {
     { TraceSpan encode("serve.stage.encode.ms"); }
     { TraceSpan decode("serve.stage.route_decode.ms"); }
   }
-  const std::vector<TraceTree> trees = RecentTraceTrees();
-  ASSERT_EQ(trees.size(), 1u);
-  const TraceTree& tree = trees[0];
-  EXPECT_EQ(tree.trace_id, 1u);
-  EXPECT_EQ(tree.tag, "obs_test");
-  // Spans land in completion order: encode, decode, then the root.
-  ASSERT_EQ(tree.spans.size(), 3u);
-  const TraceEvent& encode = tree.spans[0];
-  const TraceEvent& decode = tree.spans[1];
-  const TraceEvent& root = tree.spans[2];
-  EXPECT_STREQ(root.stage, "serve.request.ms");
-  EXPECT_EQ(root.parent_span_id, 0u);
-  EXPECT_EQ(encode.parent_span_id, root.span_id);
-  EXPECT_EQ(decode.parent_span_id, root.span_id);
-  EXPECT_EQ(root.trace_id, 1u);
-  // Deterministic dense ids: root allocated first, then the children.
-  EXPECT_EQ(root.span_id, 2u);
-  EXPECT_EQ(encode.span_id, 3u);
-  EXPECT_EQ(decode.span_id, 4u);
-  // Child windows nest inside the root's window.
-  EXPECT_GE(encode.start_ms, root.start_ms);
-  EXPECT_LE(encode.duration_ms + decode.duration_ms,
-            root.duration_ms + 1e-6);
-
   const std::vector<WideEvent> events = WideEventSink::Global().Recent();
   ASSERT_EQ(events.size(), 1u);
   const WideEvent& event = events[0];
   EXPECT_EQ(event.trace_id, 1u);
   EXPECT_EQ(event.tag, "obs_test");
   EXPECT_EQ(event.model_version, 7);
+  // Spans land in completion order: encode, decode, then the root.
+  ASSERT_EQ(event.spans.size(), 3u);
+  const TraceEvent& encode = event.spans[0];
+  const TraceEvent& decode = event.spans[1];
+  const TraceEvent& root = event.spans[2];
+  EXPECT_STREQ(root.stage, "serve.request.ms");
+  EXPECT_EQ(root.parent_span_id, 0u);
+  EXPECT_EQ(encode.parent_span_id, root.span_id);
+  EXPECT_EQ(decode.parent_span_id, root.span_id);
+  // Dense ids within the trace: root allocated first, then the children.
+  EXPECT_EQ(root.span_id, 1u);
+  EXPECT_EQ(encode.span_id, 2u);
+  EXPECT_EQ(decode.span_id, 3u);
+  // Child windows nest inside the root's window.
+  EXPECT_GE(encode.start_ms, root.start_ms);
+  EXPECT_LE(encode.duration_ms + decode.duration_ms,
+            root.duration_ms + 1e-6);
   // The per-stage sums come from the tree, so tree and wide event agree
   // by construction, and they fit inside the request's wall time.
   EXPECT_DOUBLE_EQ(event.encode_ms, encode.duration_ms);
   EXPECT_DOUBLE_EQ(event.decode_ms, decode.duration_ms);
   EXPECT_LE(event.encode_ms + event.decode_ms, event.total_ms + 1e-6);
   EXPECT_GE(event.total_ms, root.duration_ms);
-  ClearTraceTrees();
+  // The JSONL line keeps its fields; the tree is served by /traces.
+  EXPECT_EQ(WideEventSink::ToJsonLine(event).find("spans"),
+            std::string::npos);
   WideEventSink::Global().Clear();
 }
 
 TEST(RequestTraceTest, NestedTraceIsInertAndSpansLandInOuter) {
   M2G_SKIP_IF_OBS_DISABLED();
   SetEnabled(true);
-  ClearTraceTrees();
   WideEventSink::Global().Configure(WideEventOptions{});
   ResetTraceIds(1);
   {
@@ -494,61 +474,104 @@ TEST(RequestTraceTest, NestedTraceIsInertAndSpansLandInOuter) {
       TraceSpan span("obs_test.nested");
     }
   }
-  const std::vector<TraceTree> trees = RecentTraceTrees();
-  ASSERT_EQ(trees.size(), 1u);
-  EXPECT_EQ(trees[0].tag, "outer");
-  ASSERT_EQ(trees[0].spans.size(), 1u);
-  EXPECT_STREQ(trees[0].spans[0].stage, "obs_test.nested");
-  // Only the outer trace emitted a wide event.
-  EXPECT_EQ(WideEventSink::Global().Recent().size(), 1u);
-  ClearTraceTrees();
+  // Only the outer trace emitted a wide event, and it holds the span.
+  const std::vector<WideEvent> events = WideEventSink::Global().Recent();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].tag, "outer");
+  ASSERT_EQ(events[0].spans.size(), 1u);
+  EXPECT_STREQ(events[0].spans[0].stage, "obs_test.nested");
   WideEventSink::Global().Clear();
 }
 
 TEST(RequestTraceTest, DisabledTraceIsInert) {
   M2G_SKIP_IF_OBS_DISABLED();
   SetEnabled(false);
-  ClearTraceTrees();
+  WideEventSink::Global().Clear();
   {
     RequestTrace trace("off");
     EXPECT_FALSE(trace.active());
     EXPECT_EQ(trace.trace_id(), 0u);
+    EXPECT_EQ(CurrentTraceId(), 0u);
     trace.event().model_version = 9;  // dropped, must not crash
   }
-  EXPECT_TRUE(RecentTraceTrees().empty());
   SetEnabled(true);
+  EXPECT_TRUE(WideEventSink::Global().Recent().empty());
 }
 
-TEST(RequestTraceTest, HelperThreadSpansAttachThroughCapturedContext) {
+TEST(RequestTraceTest, ConcurrentRequestsKeepSpansInTheirOwnEvent) {
+  // Each thread serves its own traced requests. Thread t opens t + 1
+  // encode spans per request, so a span landing in another thread's
+  // request would change that event's span count.
   M2G_SKIP_IF_OBS_DISABLED();
   SetEnabled(true);
-  ClearTraceTrees();
   WideEventSink::Global().Configure(WideEventOptions{});
-  ResetTraceIds(1);
-  {
-    RequestTrace trace("owner");
-    const TraceContext ctx = trace.context();
-    ASSERT_TRUE(ctx.active());
-    // A helper thread installs the captured context, so its span lands
-    // in the owning request's tree and wide event.
-    std::thread helper([&ctx] {
-      TraceContextScope scope(ctx);
-      TraceSpan span("serve.stage.encode.ms");
+  constexpr int kThreads = 8;
+  constexpr int kRequestsPerThread = 20;
+  static_assert(kThreads * kRequestsPerThread <= 256, "fits the ring");
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([t] {
+      for (int r = 0; r < kRequestsPerThread; ++r) {
+        RequestTrace trace("concurrent");
+        trace.event().model_version = t;
+        TraceSpan root("serve.request.ms");
+        for (int k = 0; k <= t; ++k) {
+          TraceSpan encode("serve.stage.encode.ms");
+        }
+        TraceSpan decode("serve.stage.route_decode.ms");
+      }
     });
-    helper.join();
   }
-  const std::vector<TraceTree> trees = RecentTraceTrees();
-  ASSERT_EQ(trees.size(), 1u);
-  ASSERT_EQ(trees[0].spans.size(), 1u);
-  const TraceEvent& span = trees[0].spans[0];
-  EXPECT_STREQ(span.stage, "serve.stage.encode.ms");
-  EXPECT_EQ(span.trace_id, trees[0].trace_id);
-  EXPECT_EQ(span.parent_span_id, 0u);
+  for (std::thread& w : workers) w.join();
   const std::vector<WideEvent> events = WideEventSink::Global().Recent();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_DOUBLE_EQ(events[0].encode_ms, span.duration_ms);
-  ClearTraceTrees();
+  ASSERT_EQ(events.size(),
+            static_cast<size_t>(kThreads * kRequestsPerThread));
+  std::vector<int> per_thread(kThreads, 0);
+  for (const WideEvent& e : events) {
+    ASSERT_GE(e.model_version, 0);
+    ASSERT_LT(e.model_version, kThreads);
+    ++per_thread[e.model_version];
+    // Root, t + 1 encodes and one decode, all children of the root.
+    ASSERT_EQ(e.spans.size(), static_cast<size_t>(e.model_version + 3));
+    const TraceEvent& root = e.spans.back();
+    EXPECT_STREQ(root.stage, "serve.request.ms");
+    EXPECT_EQ(root.parent_span_id, 0u);
+    for (size_t i = 0; i + 1 < e.spans.size(); ++i) {
+      EXPECT_EQ(e.spans[i].parent_span_id, root.span_id);
+      EXPECT_EQ(e.spans[i].thread_slot, root.thread_slot);
+    }
+    EXPECT_LE(e.encode_ms + e.decode_ms, e.total_ms + 1e-6);
+    EXPECT_LE(e.total_ms, 1e4);
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(per_thread[t], kRequestsPerThread) << "thread " << t;
+  }
   WideEventSink::Global().Clear();
+}
+
+TEST(RequestTraceTest, HeadSampledOutRequestLeavesNoTree) {
+  M2G_SKIP_IF_OBS_DISABLED();
+  SetEnabled(true);
+  WideEventOptions options;
+  options.head_sample_every = 2;
+  options.tail_keep_over_ms = 1e9;
+  WideEventSink::Global().Configure(options);
+  // Head sampling keeps one of two consecutive events; which one
+  // depends on the sink's process-wide sequence number.
+  for (const char* tag : {"first", "second"}) {
+    RequestTrace trace(tag);
+    TraceSpan span("serve.request.ms");
+  }
+  const std::vector<WideEvent> kept = WideEventSink::Global().Recent();
+  ASSERT_EQ(kept.size(), 1u);
+  const std::string dropped = kept[0].tag == "first" ? "second" : "first";
+  const std::string json = ExportTracesJson();
+  EXPECT_NE(json.find("\"tag\": \"" + kept[0].tag + "\""),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("\"tag\": \"" + dropped + "\""), std::string::npos)
+      << json;
+  WideEventSink::Global().Configure(WideEventOptions{});
 }
 
 TEST(WideEventTest, HeadSamplingKeepsEveryNthTailKeepsSlow) {
@@ -638,7 +661,7 @@ TEST(ExportTest, JsonEscapeCoversRfc8259) {
 TEST(ExportTest, TracesJsonNestsChildrenUnderParents) {
   M2G_SKIP_IF_OBS_DISABLED();
   SetEnabled(true);
-  ClearTraceTrees();
+  WideEventSink::Global().Configure(WideEventOptions{});
   ResetTraceIds(1);
   {
     RequestTrace trace("json");
@@ -658,7 +681,9 @@ TEST(ExportTest, TracesJsonNestsChildrenUnderParents) {
                       "\"serve.stage.encode.ms\""),
             std::string::npos)
       << json;
-  ClearTraceTrees();
+  // The trees live in the wide-event ring: clearing it clears /traces.
+  WideEventSink::Global().Clear();
+  EXPECT_EQ(ExportTracesJson(), "[\n]\n");
 }
 
 TEST(ExportTest, WriteFileAtomicReplacesAndLeavesNoTmp) {
@@ -765,6 +790,51 @@ TEST(AdminServerTest, ServesConcurrentScrapesOverRealSockets) {
   server.Stop();
   EXPECT_FALSE(server.running());
   server.Stop();  // idempotent
+}
+
+/// Opens a loopback connection that never sends a byte.
+int ConnectIdle(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+TEST(AdminServerTest, IdleClientsNeitherBlockScrapesNorStop) {
+  using Clock = std::chrono::steady_clock;
+  AdminServer server;
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  // Two idle clients queue ahead of a real scrape: each is dropped at
+  // its deadline, then the scrape is served.
+  const int idle_a = ConnectIdle(server.port());
+  const int idle_b = ConnectIdle(server.port());
+  ASSERT_GE(idle_a, 0);
+  ASSERT_GE(idle_b, 0);
+  const std::string resp = HttpGet(server.port(), "/metrics");
+  EXPECT_NE(resp.find("200 OK"), std::string::npos) << resp;
+
+  // Stop while the accept thread holds an idle client: it returns
+  // within the deadline plus a second of slack.
+  const int idle_c = ConnectIdle(server.port());
+  const int idle_d = ConnectIdle(server.port());
+  ASSERT_GE(idle_c, 0);
+  ASSERT_GE(idle_d, 0);
+  const Clock::time_point stop_begin = Clock::now();
+  server.Stop();
+  const double stop_ms = std::chrono::duration<double, std::milli>(
+                             Clock::now() - stop_begin)
+                             .count();
+  EXPECT_LE(stop_ms, AdminServer::kConnectionDeadlineMs + 1000.0);
+  EXPECT_FALSE(server.running());
+  for (int fd : {idle_a, idle_b, idle_c, idle_d}) ::close(fd);
 }
 
 TEST(ThreadSlotTest, StableWithinThreadAndBounded) {

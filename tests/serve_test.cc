@@ -24,6 +24,7 @@
 #include "serve/model_registry.h"
 #include "serve/order_sorting_service.h"
 #include "serve/replay.h"
+#include "synth/time_model.h"
 #include "tensor/grad_mode.h"
 #include "tensor/pool.h"
 
@@ -235,10 +236,11 @@ std::shared_ptr<const core::M2g4Rtp> Borrowed(const core::M2g4Rtp* model) {
 }
 
 TEST(RtpServiceTest, EmptyOrderListIsRejectedAndServingContinues) {
-  // Requests are untrusted input: an empty order list, or a NaN,
-  // infinite or float-overflowing coordinate, time or courier statistic
-  // (which would make every pointer score NaN), must cost one response,
-  // not the process.
+  // Requests are untrusted input: an empty order list, a NaN, infinite
+  // or float-overflowing coordinate, time or courier statistic (which
+  // would make every pointer score NaN), an out-of-range weather or
+  // weekday code, or a duplicate order id must cost one response, not
+  // the process.
   ServeFixture* f = Fixture();
   RtpService service(&f->built.world, f->model.get());
   obs::Counter& rejected =
@@ -280,6 +282,13 @@ TEST(RtpServiceTest, EmptyOrderListIsRejectedAndServingContinues) {
        [&](RtpRequest* r) { r->courier.attendance = -inf; }},
       {"courier.service_time_mean_min",
        [&](RtpRequest* r) { r->courier.service_time_mean_min = nan; }},
+      {"weather", [](RtpRequest* r) { r->weather = -1; }},
+      {"weather",
+       [](RtpRequest* r) { r->weather = synth::kNumWeatherCodes; }},
+      {"weekday", [](RtpRequest* r) { r->weekday = -1; }},
+      {"weekday", [](RtpRequest* r) { r->weekday = 7; }},
+      {"duplicate order id",
+       [](RtpRequest* r) { r->pending.push_back(r->pending.front()); }},
   };
   for (const BadRequest& c : cases) {
     SCOPED_TRACE(c.field);
@@ -309,7 +318,7 @@ TEST(RtpServiceTest, EmptyOrderListIsRejectedAndServingContinues) {
   EXPECT_EQ(service.requests_served(), 0);
 
   // The process keeps serving valid requests, including ones with every
-  // bounded field at its limit.
+  // bounded field and code at its limit.
   RtpService::Response ok = service.Handle(f->RequestFromSample(s));
   ASSERT_TRUE(ok.status.ok()) << ok.status.ToString();
   EXPECT_EQ(static_cast<int>(ok.prediction.location_route.size()),
@@ -320,6 +329,8 @@ TEST(RtpServiceTest, EmptyOrderListIsRejectedAndServingContinues) {
   edge.courier.avg_speed_mps = -1e7;
   edge.courier.attendance = 1e7;
   edge.courier.service_time_mean_min = -1e7;
+  edge.weather = synth::kNumWeatherCodes - 1;
+  edge.weekday = 6;
   for (synth::Order& o : edge.pending) {
     o.accept_time_min = -1e7;
     o.deadline_min = 1e7;
