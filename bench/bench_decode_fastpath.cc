@@ -18,11 +18,10 @@
 // Both modes dump BENCH_decode.json at the CWD (repo root in CI) for the
 // perf-trajectory artifact trail.
 //
-// Scale knob: M2G_BENCH_DECODE_ITERS, timed rounds per cell (default 41
-// full / 15 smoke; each round times >= 10 ms of calls of each arm).
+// Timed rounds per cell: 41 full / 15 smoke; each round times >= 10 ms
+// of calls of each arm.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -52,11 +51,7 @@ struct CellResult {
 
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  int iters = smoke ? 15 : 41;
-  if (const char* v = std::getenv("M2G_BENCH_DECODE_ITERS")) {
-    const int n = std::atoi(v);
-    if (n > 0) iters = n;
-  }
+  const int iters = smoke ? 15 : 41;
   // Paper dims (core::ModelConfig defaults): the location-level decoder
   // is the serving hot path.
   const int node_dim = 48, courier_dim = 24, lstm_hidden = 48;

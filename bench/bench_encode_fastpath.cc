@@ -24,11 +24,10 @@
 // Both modes dump BENCH_encode.json at the CWD (repo root in CI) for the
 // perf-trajectory artifact trail.
 //
-// Scale knob: M2G_BENCH_ENCODE_ITERS, timed rounds per cell (default 31
-// full / 15 smoke; each round times >= 10 ms of calls of each arm).
+// Timed rounds per cell: 31 full / 15 smoke; each round times >= 10 ms
+// of calls of each arm.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -111,11 +110,7 @@ struct CellResult {
 
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  int iters = smoke ? 15 : 31;
-  if (const char* v = std::getenv("M2G_BENCH_ENCODE_ITERS")) {
-    const int n = std::atoi(v);
-    if (n > 0) iters = n;
-  }
+  const int iters = smoke ? 15 : 31;
   // Paper dims (core::ModelConfig defaults: hidden 48, 4 heads, 2
   // layers, courier 24, LSTM 48) — the location-level serving hot path.
   core::ModelConfig config;

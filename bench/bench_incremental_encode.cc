@@ -24,11 +24,10 @@
 // Both modes dump BENCH_incremental.json at the CWD (repo root in CI)
 // for the perf-trajectory artifact trail.
 //
-// Scale knob: M2G_BENCH_INCR_ROUNDS, timed rounds (default 31 full / 15
-// smoke; each round times >= 10 ms of streams of each arm).
+// Timed rounds: 31 full / 15 smoke; each round times >= 10 ms of
+// streams of each arm.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -110,11 +109,7 @@ bool LevelsBitEqual(const core::EncodedLevel& a, const core::EncodedLevel& b) {
 
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  int rounds = smoke ? 15 : 31;
-  if (const char* v = std::getenv("M2G_BENCH_INCR_ROUNDS")) {
-    const int n = std::atoi(v);
-    if (n > 0) rounds = n;
-  }
+  const int rounds = smoke ? 15 : 31;
   constexpr double kMinSpeedup = 2.0;
 
   // Paper dims (hidden 48, 4 heads, 2 layers) — the location-level

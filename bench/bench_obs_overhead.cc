@@ -1,10 +1,8 @@
 // Observability overhead bench: serves the same request mix with event
-// recording enabled vs disabled (obs::SetEnabled A/B in one binary; the
-// disabled path is a strict upper bound on a compiled-out M2G_OBS_DISABLED
-// build, which removes even the relaxed-load gate) and reports the
-// telemetry tax on end-to-end serving latency. The enabled side runs the
-// full pipeline — per-stage spans collected into each request's trace
-// tree, and wide events carrying those trees at default
+// recording enabled vs disabled (obs::SetEnabled A/B in one binary) and
+// reports the telemetry tax on end-to-end serving latency. The enabled
+// side runs the full pipeline — per-stage spans collected into each
+// request's trace tree, and wide events carrying those trees at default
 // (keep-everything) sampling — so the budget gates tracing and
 // structured logging, not just histogram records.
 //

@@ -27,10 +27,6 @@ Status ValidateConfig(const ModelConfig& config) {
   if (config.beam_width < 1) {
     return Status::InvalidArgument("beam_width must be >= 1");
   }
-  if (config.incremental_refresh_period < 1) {
-    return Status::InvalidArgument(
-        "incremental_refresh_period must be >= 1");
-  }
   return Status::Ok();
 }
 

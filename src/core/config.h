@@ -63,11 +63,13 @@ struct ModelConfig {
   // GAT-e layer kernel, bitwise-identical to the autograd encode that
   // grad mode and the BiLSTM ablation take; whether a service uses
   // encode sessions is serve::ServingConfig::encode_sessions.enabled.
-  /// Staleness policy: every k-th prediction through a session performs
-  /// a full re-encode even when a delta would apply, bounding how long
-  /// any cached representation chain can grow. 1 disables deltas
-  /// entirely; large values trust the bitwise-parity guarantee.
-  int incremental_refresh_period = 64;
+  /// Staleness backstop: after 63 consecutive deltas a session's next
+  /// prediction performs a full re-encode even when a delta would apply,
+  /// bounding how long any cached representation chain can grow. Deltas
+  /// are bitwise-equal to a full encode, so this never moves a result;
+  /// on courier traffic a pick-up's full encode resets the count long
+  /// before it fires.
+  static constexpr int incremental_refresh_period = 64;
 
   graph::GraphConfig graph;
 };

@@ -76,9 +76,9 @@ class LevelEncoder : public nn::Module {
   /// whose inputs or masks changed. On success the cache is advanced to
   /// `level` and the returned encodings are bitwise-identical to
   /// EncodeFast(level, ...). Returns nullopt — cache contents then
-  /// unspecified, caller must full-encode — when the delta is not
-  /// single-node-explainable, exceeds the cache capacity, or dirties
-  /// more than half the nodes (a delta would cost more than it saves).
+  /// unspecified, caller must full-encode — when the delta is
+  /// kStructural, exceeds the cache capacity, or dirties more than half
+  /// the nodes (a delta would cost more than it saves).
   /// Defined in core/incremental_encode.cc.
   std::optional<EncodedLevel> EncodeDelta(const graph::LevelGraph& level,
                                           const graph::LevelGraph& prev,

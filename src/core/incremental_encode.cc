@@ -1,11 +1,16 @@
 // Incremental re-encode on order arrival. A warm LevelEncodeCache holds
 // every per-layer value a GAT-e forward produced for a courier's last
-// graph; when the next request's graph differs by a single
-// inserted/removed node (or pure feature drift on an aligned node set),
-// EncodeDelta hands the same no-grad layer kernel a full encode uses
-// (GatELayer::ForwardFast) the dirty sets, so it recomputes only the
-// attention rows and edge pairs whose inputs or softmax masks changed
-// and reuses everything else byte for byte.
+// graph; when the next request's level graph has the same node count
+// (index-aligned) or one inserted node (an order arriving, appended or
+// mid-sequence), EncodeDelta hands the same no-grad layer kernel a full
+// encode uses (GatELayer::ForwardFast) the dirty sets, so it recomputes
+// only the attention rows and edge pairs whose inputs or softmax masks
+// changed and reuses everything else byte for byte. The dirty sets come
+// from content, not from the graph diff: every aligned h_0 row, raw
+// edge-feature pair and mask row is compared with the cached one, so the
+// diff's verdict decides what a step costs, never its bits. Any other
+// count change (a pick-up removes a node and moves every node's distance
+// feature) is a full encode.
 //
 // Why bitwise reuse is sound: every kernel on this path (MatMulInto /
 // AccumulateRowMatMul / GatLogitsRow / MaskedSoftmaxRowRaw) is
@@ -17,8 +22,8 @@
 // exact 0.0f to masked ones, and AccumulateRowMatMul skips zero
 // coefficients — so the aggregation adds the same terms in the same
 // order as before and the cached row stands. Dirtiness is tracked by
-// memcmp (stricter than float equality), and anything not explainable as
-// a single-node delta falls back to a full encode.
+// memcmp (stricter than float equality), and a step that dirties more
+// than half the nodes falls back to a full encode.
 
 #include "core/incremental_encode.h"
 
@@ -71,15 +76,6 @@ void ShiftNodeRowsForInsert(Matrix* m, int old_n, int pos) {
   }
 }
 
-void ShiftNodeRowsForRemove(Matrix* m, int old_n, int pos) {
-  const int w = m->cols();
-  float* data = m->data();
-  for (int i = pos; i < old_n - 1; ++i) {
-    std::memcpy(data + static_cast<size_t>(i) * w,
-                data + static_cast<size_t>(i + 1) * w, sizeof(float) * w);
-  }
-}
-
 /// Shifts cached pair rows (padded stride `cap`) for an insertion at
 /// `pos`. Descending order: every source row index is <= its destination,
 /// so the move is safe in place. Rows touching the inserted index stay
@@ -102,42 +98,15 @@ void ShiftPairRowsForInsert(Matrix* m, int cap, int old_n, int pos) {
   }
 }
 
-/// Ascending counterpart for a removal at before-index `pos` (sources
-/// are >= destinations).
-void ShiftPairRowsForRemove(Matrix* m, int cap, int old_n, int pos) {
-  const int w = m->cols();
-  const int n = old_n - 1;
-  float* data = m->data();
-  for (int i = 0; i < n; ++i) {
-    const int oi = i < pos ? i : i + 1;
-    for (int j = 0; j < n; ++j) {
-      const int oj = j < pos ? j : j + 1;
-      const size_t dst = (static_cast<size_t>(i) * cap + j) * w;
-      const size_t src = (static_cast<size_t>(oi) * cap + oj) * w;
-      if (src == dst) continue;
-      std::memcpy(data + dst, data + src, sizeof(float) * w);
-    }
-  }
-}
-
-/// Re-indexes every cached buffer after a mid-sequence insert/remove so
-/// cached values line up with the new graph's node numbering. Appends
-/// and end-removals skip this entirely (fixed padded strides keep every
-/// index stable).
-void RemapCache(LevelEncodeCache* cache, const graph::LevelGraphDelta& delta,
-                int old_n) {
-  const bool insert = delta.kind == graph::LevelDeltaKind::kInsert;
-  for (Matrix& m : cache->h) {
-    insert ? ShiftNodeRowsForInsert(&m, old_n, delta.pos)
-           : ShiftNodeRowsForRemove(&m, old_n, delta.pos);
-  }
-  auto shift_pairs = [&](Matrix& m) {
-    insert ? ShiftPairRowsForInsert(&m, cache->cap, old_n, delta.pos)
-           : ShiftPairRowsForRemove(&m, cache->cap, old_n, delta.pos);
-  };
-  for (Matrix& m : cache->z) shift_pairs(m);
-  for (Matrix& m : cache->ew3) shift_pairs(m);
-  for (Matrix& m : cache->se) shift_pairs(m);
+/// Re-indexes every cached buffer after a mid-sequence insert at `pos`
+/// so cached values line up with the new graph's node numbering. Appends
+/// skip this entirely (fixed padded strides keep every index stable).
+void RemapCacheForInsert(LevelEncodeCache* cache, int old_n, int pos) {
+  const int cap = cache->cap;
+  for (Matrix& m : cache->h) ShiftNodeRowsForInsert(&m, old_n, pos);
+  for (Matrix& m : cache->z) ShiftPairRowsForInsert(&m, cap, old_n, pos);
+  for (Matrix& m : cache->ew3) ShiftPairRowsForInsert(&m, cap, old_n, pos);
+  for (Matrix& m : cache->se) ShiftPairRowsForInsert(&m, cap, old_n, pos);
 }
 
 /// Dense (n, d) / (n*n, d) copies of the cached final-layer
@@ -261,19 +230,13 @@ std::optional<EncodedLevel> LevelEncoder::EncodeDelta(
   M2G_CHECK_EQ(cache->n, prev.n);
   M2G_CHECK_EQ(cache->hidden, plan->hidden_dim);
 
-  if (delta.kind == LevelDeltaKind::kIdentical) {
-    return MaterializeOutputs(*cache, n);
-  }
-
   const int d = cache->hidden;
   const int pn = prev.n;
 
-  // 1. Line cached rows up with the new numbering. Appends and
-  // end-removals are index-stable under the padded stride and skip this.
+  // 1. Line cached rows up with the new numbering. Appends are
+  // index-stable under the padded stride and skip this.
   if (delta.kind == LevelDeltaKind::kInsert && delta.pos != pn) {
-    RemapCache(cache, delta, pn);
-  } else if (delta.kind == LevelDeltaKind::kRemove && delta.pos != pn - 1) {
-    RemapCache(cache, delta, pn);
+    RemapCacheForInsert(cache, pn, delta.pos);
   }
 
   // 2. Dirty seeds from the raw graphs (cheap, before any float work).
@@ -301,10 +264,6 @@ std::optional<EncodedLevel> LevelEncoder::EncodeDelta(
         changed =
             now != prev.adjacency[static_cast<size_t>(oi) * pn + oj];
       }
-    }
-    if (!changed && delta.kind == LevelDeltaKind::kRemove) {
-      // The removed column leaves the mask only if it was ever in it.
-      changed = prev.adjacency[static_cast<size_t>(oi) * pn + delta.pos];
     }
     dirty.row_changed[i] = changed ? 1 : 0;
   }

@@ -21,7 +21,7 @@ namespace m2g::core {
 /// node count: an order arriving at the end of the node ordering (the
 /// common case — the feature extractor sorts pending orders by ascending
 /// id, so new ids append) leaves every cached row in place, and an
-/// insert/removal in the middle is an in-place row shift. Capacity grows
+/// insert in the middle is an in-place row shift. Capacity grows
 /// geometrically on full encodes; a delta that would exceed `cap` falls
 /// back instead.
 ///
@@ -58,11 +58,13 @@ enum class IncrementalFallback {
   /// The global/courier embedding changed bitwise (weather, time bucket,
   /// courier stats): it feeds every node, so everything is dirty.
   kGlobalChanged,
-  /// A level diff was not single-node-explainable.
+  /// A level's node count changed by other than one insert (a pick-up,
+  /// multi-node churn).
   kStructural,
   /// A level outgrew its cache capacity.
   kCapacity,
-  /// Scheduled k-th-update refresh (incremental_refresh_period).
+  /// Scheduled refresh after ModelConfig::incremental_refresh_period - 1
+  /// consecutive deltas.
   kRefresh,
   /// The delta dirtied too many nodes to be worth it (e.g. the courier
   /// moved, shifting every node's relative features).

@@ -56,13 +56,13 @@ class M2g4Rtp : public nn::Module {
   /// Greedy joint prediction (§IV-D).
   RtpPrediction Predict(const synth::Sample& sample) const;
 
-  /// Predict through a per-courier incremental-encode session: when the
-  /// request's level graphs differ from `state`'s cached graphs by at
-  /// most one inserted/removed node per level (and the global embedding
-  /// is unchanged), only the affected GAT-e attention rows and edge
-  /// pairs are re-encoded (LevelEncoder::EncodeDelta); otherwise — cold
-  /// state, structural diff, capacity overflow or k-th-update refresh —
-  /// it performs a full encode and rewarms the state. Under grad mode or
+  /// Predict through a per-courier incremental-encode session: when each
+  /// of the request's level graphs has the node count of `state`'s cached
+  /// graph or one inserted node (and the global embedding is unchanged),
+  /// only the GAT-e attention rows and edge pairs whose inputs changed are
+  /// re-encoded (LevelEncoder::EncodeDelta); otherwise — cold state,
+  /// structural diff, capacity overflow, scheduled refresh or dirty
+  /// spread — it performs a full encode and rewarms the state. Under grad mode or
   /// the BiLSTM ablation sessions are inert: the legacy encode runs and
   /// `state` is left untouched.
   /// The prediction is bitwise-identical to Predict(sample) in every

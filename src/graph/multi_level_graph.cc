@@ -10,8 +10,8 @@ namespace m2g::graph {
 namespace {
 
 /// Exact node identity: bitwise continuous row + discrete ids. memcmp is
-/// deliberately stricter than float equality (NaN-safe, -0 != +0), so a
-/// "same node" verdict licenses bitwise reuse of cached encodings.
+/// deliberately stricter than float equality (NaN-safe, -0 != +0), so an
+/// insert is located exactly.
 bool SameNode(const LevelGraph& a, int i, const LevelGraph& b, int j) {
   if (a.node_aoi_id[i] != b.node_aoi_id[j]) return false;
   if (a.node_aoi_type[i] != b.node_aoi_type[j]) return false;
@@ -20,26 +20,6 @@ bool SameNode(const LevelGraph& a, int i, const LevelGraph& b, int j) {
   return std::memcmp(a.node_continuous.data() + static_cast<size_t>(i) * d,
                      b.node_continuous.data() + static_cast<size_t>(j) * d,
                      sizeof(float) * d) == 0;
-}
-
-/// True when the two equal-length graphs hold the same node multiset in a
-/// different order (a permutation): those must classify structural, not
-/// as per-index feature drift.
-bool IsPermutation(const LevelGraph& before, const LevelGraph& after) {
-  const int n = before.n;
-  std::vector<bool> used(n, false);
-  for (int i = 0; i < n; ++i) {
-    bool matched = false;
-    for (int j = 0; j < n; ++j) {
-      if (!used[j] && SameNode(after, i, before, j)) {
-        used[j] = true;
-        matched = true;
-        break;
-      }
-    }
-    if (!matched) return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -52,27 +32,6 @@ LevelGraphDelta DiffLevelGraph(const LevelGraph& before,
     return delta;  // kStructural
   }
   if (after.n == before.n) {
-    const int n = before.n;
-    int first_mismatch = -1;
-    for (int i = 0; i < n; ++i) {
-      if (!SameNode(before, i, after, i)) {
-        first_mismatch = i;
-        break;
-      }
-    }
-    if (first_mismatch < 0) {
-      const size_t nn = static_cast<size_t>(n) * n;
-      const bool same_adj = before.adjacency == after.adjacency;
-      const bool same_edges =
-          std::memcmp(before.edge_features.data(), after.edge_features.data(),
-                      sizeof(float) * nn * before.edge_features.cols()) == 0;
-      delta.kind = (same_adj && same_edges) ? LevelDeltaKind::kIdentical
-                                            : LevelDeltaKind::kSameNodes;
-      return delta;
-    }
-    // Mismatched rows: per-index feature drift is delta-encodable, but a
-    // reordering of the same nodes is not.
-    if (IsPermutation(before, after)) return delta;  // kStructural
     delta.kind = LevelDeltaKind::kSameNodes;
     return delta;
   }
@@ -88,21 +47,6 @@ LevelGraphDelta DiffLevelGraph(const LevelGraph& before,
       if (!SameNode(before, i, after, i + 1)) return delta;  // kStructural
     }
     delta.kind = LevelDeltaKind::kInsert;
-    delta.pos = p;
-    return delta;
-  }
-  if (after.n == before.n - 1) {
-    int p = after.n;  // default: last node removed
-    for (int i = 0; i < after.n; ++i) {
-      if (!SameNode(before, i, after, i)) {
-        p = i;
-        break;
-      }
-    }
-    for (int i = p; i < after.n; ++i) {
-      if (!SameNode(before, i + 1, after, i)) return delta;  // kStructural
-    }
-    delta.kind = LevelDeltaKind::kRemove;
     delta.pos = p;
     return delta;
   }

@@ -39,45 +39,38 @@ struct MultiLevelGraph {
   std::vector<int> loc_to_aoi;  // E^la: location idx -> AOI node idx
 };
 
-/// Classification of how one level graph evolved into another, from the
-/// incremental re-encode path's point of view: a single order arriving
-/// (kInsert) or completing (kRemove) is delta-encodable, as is a pure
-/// feature drift on an aligned node set (kSameNodes); anything the
-/// per-node alignment cannot explain — permutations, multi-node churn,
-/// count jumps — is kStructural and falls back to a full encode.
+/// How one level graph evolved into another, from the incremental
+/// re-encode path's point of view. The diff only aligns node indices;
+/// the delta encoder compares every aligned row and pair by content and
+/// recomputes what changed, so the kind decides what a delta step costs,
+/// never its bits.
 enum class LevelDeltaKind {
-  /// Same nodes, adjacency and edge features, bit for bit.
-  kIdentical,
-  /// Same node count with index-aligned nodes (not a permutation);
-  /// features/edges may differ row-by-row — the delta encoder dirties
-  /// exactly the changed rows.
+  /// Same node count: node i of `after` aligns with node i of `before`.
+  /// Drifted features, replaced nodes, rewired kNN edges and
+  /// reorderings are all rows the delta encoder finds dirty.
   kSameNodes,
-  /// `after` is `before` with one node inserted at index `pos`.
+  /// `after` is `before` with one node inserted at index `pos` (an order
+  /// arriving).
   kInsert,
-  /// `after` is `before` with the node at before-index `pos` removed.
-  kRemove,
-  /// Not explainable as a single-node delta (includes permutations).
+  /// Any other count change (an order picked up, multi-node churn):
+  /// falls back to a full encode.
   kStructural,
 };
 
 struct LevelGraphDelta {
   LevelDeltaKind kind = LevelDeltaKind::kStructural;
-  /// kInsert: after-index of the new node. kRemove: before-index of the
-  /// removed node. -1 otherwise.
+  /// kInsert: after-index of the new node. -1 otherwise.
   int pos = -1;
 
   /// Before-index of after-node `i` (-1 for an inserted node). Only
   /// meaningful for the delta-encodable kinds.
   int OldIndex(int i) const {
     switch (kind) {
-      case LevelDeltaKind::kIdentical:
       case LevelDeltaKind::kSameNodes:
         return i;
       case LevelDeltaKind::kInsert:
         if (i == pos) return -1;
         return i < pos ? i : i - 1;
-      case LevelDeltaKind::kRemove:
-        return i < pos ? i : i + 1;
       case LevelDeltaKind::kStructural:
         return -1;
     }
@@ -85,13 +78,12 @@ struct LevelGraphDelta {
   }
 };
 
-/// Cheap structural diff between two level graphs. Node identity is the
-/// bitwise continuous-feature row plus the discrete ids, so it is exact:
-/// a kInsert/kRemove/kSameNodes verdict guarantees every aligned node is
-/// byte-identical between the graphs (adjacency and edge features may
-/// still differ — kNN rewiring around an arrival is expected and handled
-/// by the delta encoder). A same-count multiset permutation classifies as
-/// kStructural, never kSameNodes. O(n (n + d)) worst case.
+/// Cheap structural diff between two level graphs. Equal node counts are
+/// kSameNodes without a scan. One more node in `after` is kInsert at the
+/// first row where the graphs differ, provided every later `before` row
+/// reappears one index down (node identity is the bitwise continuous row
+/// plus the discrete ids); otherwise, and for every other count change,
+/// kStructural. O(n d) worst case.
 LevelGraphDelta DiffLevelGraph(const LevelGraph& before,
                                const LevelGraph& after);
 

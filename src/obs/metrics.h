@@ -36,8 +36,7 @@ int ThreadSlot();
 
 /// Runtime switch for event recording (default on). Used by
 /// bench_obs_overhead to A/B instrumented vs uninstrumented serving in
-/// one binary; the M2G_OBS_DISABLED compile definition removes the same
-/// call sites entirely.
+/// one binary.
 void SetEnabled(bool enabled);
 inline bool Enabled() {
   return internal::g_obs_enabled.load(std::memory_order_relaxed);
@@ -52,11 +51,7 @@ class Counter {
   Counter& operator=(const Counter&) = delete;
 
   void Increment(uint64_t delta = 1) {
-#ifndef M2G_OBS_DISABLED
     if (Enabled()) IncrementImpl(delta);
-#else
-    (void)delta;
-#endif
   }
 
   uint64_t Value() const;

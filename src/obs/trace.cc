@@ -100,7 +100,6 @@ void TraceSpan::Finish() {
 }
 
 RequestTrace::RequestTrace(const char* tag) {
-#ifndef M2G_OBS_DISABLED
   if (!Enabled()) return;
   // A trace already owns this thread (e.g. a nested Handle under an
   // already-traced request): stay inert rather than shadow it.
@@ -111,13 +110,9 @@ RequestTrace::RequestTrace(const char* tag) {
   event_.spans.reserve(16);
   t_trace = this;
   start_ = std::chrono::steady_clock::now();
-#else
-  (void)tag;
-#endif
 }
 
 RequestTrace::~RequestTrace() {
-#ifndef M2G_OBS_DISABLED
   if (!active_) return;
   const auto end = std::chrono::steady_clock::now();
   t_trace = nullptr;
@@ -127,7 +122,6 @@ RequestTrace::~RequestTrace() {
     AccumulateStage(&event_, span.stage, span.duration_ms);
   }
   WideEventSink::Global().Record(std::move(event_));
-#endif
 }
 
 Histogram& StageHistogram(const char* stage) {

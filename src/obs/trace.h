@@ -32,23 +32,15 @@ class RequestTrace;
 /// Cost when obs is enabled: two steady_clock reads and one histogram
 /// record, plus, when traced, one append to the thread's own span vector
 /// (no lock). When disabled via SetEnabled(false) the constructor is a
-/// single relaxed load; under M2G_OBS_DISABLED the whole class compiles
-/// to nothing.
+/// single relaxed load.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* stage, Histogram* hist = nullptr) {
-#ifndef M2G_OBS_DISABLED
     if (Enabled()) Start(stage, hist);
-#else
-    (void)stage;
-    (void)hist;
-#endif
   }
 
   ~TraceSpan() {
-#ifndef M2G_OBS_DISABLED
     if (active_) Finish();
-#endif
   }
 
   TraceSpan(const TraceSpan&) = delete;

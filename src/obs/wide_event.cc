@@ -31,6 +31,7 @@ void WideEventSink::Configure(const WideEventOptions& options) {
   ring_.reserve(options_.ring_capacity);
   next_ = 0;
   wrapped_ = false;
+  seq_ = 0;
 }
 
 WideEventOptions WideEventSink::options() const {
@@ -39,8 +40,8 @@ WideEventOptions WideEventSink::options() const {
 }
 
 void WideEventSink::RecordImpl(WideEvent&& event) {
-  const uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
+  const uint64_t seq = seq_++;
   const bool head_keep =
       options_.head_sample_every > 0 &&
       seq % static_cast<uint64_t>(options_.head_sample_every) == 0;

@@ -71,7 +71,8 @@ struct WideEvent {
 /// shipping, not a performance requirement.
 struct WideEventOptions {
   /// Keep every Nth event (1 = all, 0 = none except tail). Head sampling
-  /// is a deterministic modulo on the event sequence number.
+  /// is a deterministic modulo on the event sequence number, which
+  /// Configure rewinds to 0: the first event after it is always kept.
   int head_sample_every = 1;
   /// Requests at or over this end-to-end latency are always kept, even
   /// when head sampling would drop them (tail sampling: the slow
@@ -84,8 +85,7 @@ struct WideEventOptions {
 
 /// Process-wide sink for wide events: a bounded in-memory ring (for the
 /// admin endpoint) plus JSONL serialization helpers. Record is gated by
-/// obs::SetEnabled and compiled out under M2G_OBS_DISABLED, like every
-/// other event path.
+/// obs::SetEnabled, like every other event path.
 class WideEventSink {
  public:
   static WideEventSink& Global();
@@ -98,11 +98,7 @@ class WideEventSink {
   WideEventOptions options() const;
 
   void Record(WideEvent event) {
-#ifndef M2G_OBS_DISABLED
     if (Enabled()) RecordImpl(std::move(event));
-#else
-    (void)event;
-#endif
   }
 
   /// Kept events, oldest first (snapshot).
@@ -132,7 +128,7 @@ class WideEventSink {
   std::vector<WideEvent> ring_;
   size_t next_ = 0;
   bool wrapped_ = false;
-  std::atomic<uint64_t> seq_{0};
+  uint64_t seq_ = 0;  // events offered since the last Configure
   std::atomic<uint64_t> recorded_{0};
   std::atomic<uint64_t> sampled_out_{0};
 };

@@ -172,11 +172,7 @@ TEST(DecodeParityTest, NanNodeRowsStillDecodeToPermutations) {
     // NaN rows never win a comparison, so they come last, lowest first.
     EXPECT_TRUE(std::equal(nan_rows.begin(), nan_rows.end(),
                            greedy.end() - static_cast<long>(nan_rows.size())));
-#ifndef M2G_OBS_DISABLED
     EXPECT_EQ(nonfinite.Value() - before, nan_rows.size());
-#else
-    (void)before;
-#endif
     EXPECT_EQ(f.decoder->DecodeBeam(f.nodes, f.courier, 1), greedy);
     EXPECT_TRUE(IsPermutation(f.decoder->DecodeBeam(f.nodes, f.courier, 5), n));
   }

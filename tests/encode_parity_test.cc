@@ -140,10 +140,8 @@ TEST(EncodeParityTest, GradModeDispatchesToLegacyEvenWithPlan) {
   EncodePlan plan(9, f.config.hidden_dim);
   ASSERT_TRUE(GradMode::enabled());
   EncodedLevel enc = f.encoder->Encode(f.level, f.global, &plan);
-#ifndef M2G_OBS_DISABLED
   EXPECT_EQ(fast_layers.Value(), fast_before);
   EXPECT_GT(legacy_layers.Value(), legacy_before);
-#endif
   // And it is a real gradient graph: backprop reaches the encoder.
   Sum(enc.nodes).Backward();
   int touched = 0;
@@ -155,12 +153,7 @@ TEST(EncodeParityTest, GradModeDispatchesToLegacyEvenWithPlan) {
   // Under NoGradGuard the same call takes the fast path.
   NoGradGuard no_grad;
   f.encoder->Encode(f.level, f.global, &plan);
-#ifndef M2G_OBS_DISABLED
   EXPECT_GT(fast_layers.Value(), fast_before);
-#else
-  (void)fast_before;
-  (void)legacy_before;
-#endif
 }
 
 synth::DataConfig TinyDataConfig() {

@@ -193,7 +193,9 @@ LevelGraph DiffLevelFromIds(const std::vector<int>& ids) {
 TEST(DiffLevelGraphTest, ClassifiesRandomEditSequences) {
   // Property test: drive a random id set through inserts, removals,
   // permutations, feature drift and no-ops; every diff must classify
-  // exactly, with the right position.
+  // exactly, with the right position. Only an insert needs aligning;
+  // a removal is structural, and a same-count edit (permutation, drift,
+  // no-op) is kSameNodes, whose rows the delta encoder diffs itself.
   Rng rng(20260807);
   std::vector<int> ids{2, 5, 9, 14};
   LevelGraph before = DiffLevelFromIds(ids);
@@ -234,31 +236,21 @@ TEST(DiffLevelGraphTest, ClassifiesRandomEditSequences) {
       next_ids.erase(next_ids.begin() + pos);
       LevelGraph after = DiffLevelFromIds(next_ids);
       LevelGraphDelta delta = DiffLevelGraph(before, after);
-      ASSERT_EQ(delta.kind, LevelDeltaKind::kRemove) << "step " << step;
-      EXPECT_EQ(delta.pos, pos);
-      for (int i = 0; i < after.n; ++i) {
-        const int oi = delta.OldIndex(i);
-        ASSERT_GE(oi, 0);
-        EXPECT_EQ(std::memcmp(
-                      after.node_continuous.data() +
-                          static_cast<size_t>(i) * kLocationContinuousDim,
-                      before.node_continuous.data() +
-                          static_cast<size_t>(oi) * kLocationContinuousDim,
-                      sizeof(float) * kLocationContinuousDim),
-                  0);
-      }
+      ASSERT_EQ(delta.kind, LevelDeltaKind::kStructural) << "step " << step;
+      EXPECT_EQ(delta.pos, -1);
       before = std::move(after);
       ids = std::move(next_ids);
     } else if (op == 2 && ids.size() > 1) {
-      // A genuine permutation is never single-node-explainable.
+      // A permutation keeps the count: index-aligned, every moved row
+      // is content the delta encoder finds dirty.
       std::vector<int> shuffled = ids;
       do {
         rng.Shuffle(&shuffled);
       } while (shuffled == ids);
       LevelGraph after = DiffLevelFromIds(shuffled);
-      EXPECT_EQ(DiffLevelGraph(before, after).kind,
-                LevelDeltaKind::kStructural)
-          << "step " << step;
+      const LevelGraphDelta delta = DiffLevelGraph(before, after);
+      EXPECT_EQ(delta.kind, LevelDeltaKind::kSameNodes) << "step " << step;
+      for (int i = 0; i < after.n; ++i) EXPECT_EQ(delta.OldIndex(i), i);
       // Not applied: keep `before` aligned with `ids`.
     } else if (op == 3) {
       // Feature drift on one aligned node.
@@ -271,7 +263,7 @@ TEST(DiffLevelGraphTest, ClassifiesRandomEditSequences) {
     } else {
       LevelGraph same = DiffLevelFromIds(ids);
       EXPECT_EQ(DiffLevelGraph(before, same).kind,
-                LevelDeltaKind::kIdentical)
+                LevelDeltaKind::kSameNodes)
           << "step " << step;
     }
   }
@@ -290,8 +282,14 @@ TEST(DiffLevelGraphTest, MultiNodeChurnAndCountJumpsAreStructural) {
             LevelDeltaKind::kStructural);
   EXPECT_EQ(DiffLevelGraph(base, DiffLevelFromIds({1, 2, 3})).kind,
             LevelDeltaKind::kStructural);
+  // A single removal (a pick-up) is structural as well.
+  EXPECT_EQ(DiffLevelGraph(base, DiffLevelFromIds({1, 2, 4, 5})).kind,
+            LevelDeltaKind::kStructural);
+  // An insert whose later rows do not shift by one is not an insert.
+  EXPECT_EQ(DiffLevelGraph(base, DiffLevelFromIds({1, 2, 9, 3, 4, 6})).kind,
+            LevelDeltaKind::kStructural);
   // Same nodes, one adjacency bit flipped: kSameNodes (masks may drift —
-  // the delta encoder owns that), never kIdentical.
+  // the delta encoder owns that).
   LevelGraph rewired = DiffLevelFromIds({1, 2, 3, 4, 5});
   rewired.adjacency[0 * 5 + 4] = !rewired.adjacency[0 * 5 + 4];
   rewired.adjacency[4 * 5 + 0] = rewired.adjacency[0 * 5 + 4];

@@ -1,11 +1,12 @@
 // Incremental re-encode parity suite: a delta step over a warm
 // LevelEncodeCache must reproduce a from-scratch EncodeFast bit for bit —
-// for appends, middle inserts, removals and pure feature drift, under
-// pooled AND plain tensor storage — and PredictIncremental must match
-// Predict exactly on order-arrival request streams while reporting the
-// documented fallback reasons (structural diffs, capacity growth,
-// scheduled refresh, global-embedding drift, grad mode). A seeded random
-// edit stream checks the session path against the autograd encode.
+// for appends, middle inserts, swapped nodes and pure feature drift,
+// under pooled AND plain tensor storage, with removals refused — and
+// PredictIncremental must match Predict exactly on order-arrival request
+// streams while reporting the documented fallback reasons (structural
+// diffs, capacity growth, scheduled refresh, global-embedding drift,
+// grad mode). A seeded random edit stream checks the session path
+// against the autograd encode.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <memory>
 #include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/encode_plan.h"
@@ -214,17 +216,19 @@ TEST(IncrementalEncodeTest, MiddleInsertAndRemoveBitwise) {
   for (bool pooled : {true, false}) {
     PoolMode mode(pooled);
     EncoderFixture f(823);
-    // Insert into the middle (remap), remove from the middle, remove the
-    // last node, then append again over the shifted cache.
+    // Insert into the middle (remap), then an insert right after the
+    // remap; removals in the middle and at the end are structural and
+    // re-warm, and the append after them delta-encodes again.
     const std::vector<std::vector<int>> steps = {
-        {10, 20, 25, 30, 40, 50},  // middle insert (pos 2)
-        {10, 20, 25, 40, 50},      // middle remove (pos 3)
-        {10, 20, 25, 40},          // end remove
-        {10, 20, 25, 40, 60},      // append after remaps
+        {10, 20, 25, 30, 40, 50},      // middle insert (pos 2)
+        {10, 15, 20, 25, 30, 40, 50},  // middle insert (pos 1)
+        {10, 15, 20, 25, 40, 50},      // middle remove: full encode
+        {10, 15, 20, 25, 40},          // end remove: full encode
+        {10, 15, 20, 25, 40, 60},      // append
     };
     const int deltas =
         DriveStream(&f, {10, 20, 30, 40, 50}, steps, "insert/remove");
-    EXPECT_EQ(deltas, 4);
+    EXPECT_EQ(deltas, 3);
   }
 }
 
@@ -250,7 +254,7 @@ TEST(IncrementalEncodeTest, FeatureDriftOnAlignedNodesBitwise) {
   ExpectLevelBitEqual(*got, f.Full(after), "feature drift");
 }
 
-TEST(IncrementalEncodeTest, IdenticalGraphServesCacheBitwise) {
+TEST(IncrementalEncodeTest, IdenticalGraphDeltaEncodesBitwise) {
   EncoderFixture f(831);
   NoGradGuard no_grad;
   const std::vector<int> ids{2, 4, 6, 8};
@@ -259,8 +263,9 @@ TEST(IncrementalEncodeTest, IdenticalGraphServesCacheBitwise) {
   EncodePlan plan(level.n, f.config.hidden_dim);
   f.encoder->EncodeFastCached(level, f.global, &plan, &cache);
   graph::LevelGraph same = LevelFromIds(ids);
+  // No dirty row: the delta recomputes nothing and serves the cache.
   const graph::LevelGraphDelta delta = graph::DiffLevelGraph(level, same);
-  EXPECT_EQ(delta.kind, graph::LevelDeltaKind::kIdentical);
+  EXPECT_EQ(delta.kind, graph::LevelDeltaKind::kSameNodes);
   std::optional<EncodedLevel> got =
       f.encoder->EncodeDelta(same, level, delta, f.global, &plan, &cache);
   ASSERT_TRUE(got.has_value());
@@ -276,12 +281,12 @@ TEST(IncrementalEncodeTest, StructuralAndOversizeDeltasRefuse) {
   EncodePlan plan(32, f.config.hidden_dim);
   f.encoder->EncodeFastCached(level, f.global, &plan, &cache);
 
-  // Permutation: values survive but the numbering moved — structural.
-  graph::LevelGraph permuted = LevelFromIds({10, 5, 15, 20});
-  graph::LevelGraphDelta delta = graph::DiffLevelGraph(level, permuted);
+  // Removal (a pick-up): structural.
+  graph::LevelGraph removed = LevelFromIds({5, 15, 20});
+  graph::LevelGraphDelta delta = graph::DiffLevelGraph(level, removed);
   EXPECT_EQ(delta.kind, graph::LevelDeltaKind::kStructural);
   EXPECT_FALSE(
-      f.encoder->EncodeDelta(permuted, level, delta, f.global, &plan, &cache)
+      f.encoder->EncodeDelta(removed, level, delta, f.global, &plan, &cache)
           .has_value());
 
   // A graph past the cache capacity refuses regardless of the diff.
@@ -326,8 +331,9 @@ TEST(IncrementalEncodeTest, DirtySpreadBailsOutToFullEncode) {
 }
 
 TEST(IncrementalEncodeTest, RandomEditStreamMatchesLegacyBitwise) {
-  // A seeded stream of random inserts, removals and node-feature drifts
-  // at random positions, on a location-level and an AOI-level encoder.
+  // A seeded stream of random inserts, removals (pick-ups anywhere,
+  // cancellations mid-list), two-node swaps and node-feature drifts at
+  // random positions, on a location-level and an AOI-level encoder.
   // The node count wanders between 2 and 24, so it outgrows the first
   // cache capacity (16) and forces a regrow. After every edit the session
   // encode (EncodeDelta, or the EncodeFastCached re-warm a refusal falls
@@ -360,15 +366,24 @@ TEST(IncrementalEncodeTest, RandomEditStreamMatchesLegacyBitwise) {
           f.encoder->EncodeLegacy(prev, f.global), "warm");
     }
     int delta_steps = 0;
+    int swap_deltas = 0;
     int capacity_crossings = 0;
     for (int step = 0; step < kSteps; ++step) {
       SCOPED_TRACE(step);
       const int n = static_cast<int>(ids.size());
       const double u = rng.NextDouble();
-      if (n < kMaxNodes && (n <= 2 || u < 0.45)) {
+      bool swap = false;
+      if (n < kMaxNodes && (n <= 2 || u < 0.40)) {
         ids.insert(ids.begin() + rng.UniformInt(0, n), next_id++);
-      } else if (n > 2 && u < 0.75) {
+      } else if (u < 0.55) {
         ids.erase(ids.begin() + rng.UniformInt(0, n - 1));
+      } else if (n > 3 && u < 0.65) {
+        ids.erase(ids.begin() + rng.UniformInt(1, n - 2));
+      } else if (u < 0.80) {
+        const int a = rng.UniformInt(0, n - 1);
+        const int b = (a + rng.UniformInt(1, n - 1)) % n;
+        std::swap(ids[a], ids[b]);
+        swap = true;
       } else {
         ++versions[ids[rng.UniformInt(0, n - 1)]];
       }
@@ -379,6 +394,7 @@ TEST(IncrementalEncodeTest, RandomEditStreamMatchesLegacyBitwise) {
       std::optional<EncodedLevel> got = f.encoder->EncodeDelta(
           next, prev, delta, f.global, &plan, &cache);
       delta_steps += got.has_value() ? 1 : 0;
+      swap_deltas += swap && got.has_value() ? 1 : 0;
       if (!got.has_value()) {
         got = f.encoder->EncodeFastCached(next, f.global, &plan, &cache);
       }
@@ -388,6 +404,7 @@ TEST(IncrementalEncodeTest, RandomEditStreamMatchesLegacyBitwise) {
     }
     EXPECT_GE(capacity_crossings, 1);
     EXPECT_GE(delta_steps, kSteps / 2) << "the stream lived on fallbacks";
+    EXPECT_GE(swap_deltas, 1) << "no swap took the delta path";
   }
 }
 
@@ -400,7 +417,7 @@ struct ModelFixture {
   std::unique_ptr<serve::FeatureExtractor> extractor;
   const synth::Sample* sample = nullptr;  // richest test sample
 
-  explicit ModelFixture(ModelConfig mc = SmallConfig())
+  ModelFixture()
       : data_config([] {
           synth::DataConfig dc;
           dc.seed = 424;
@@ -411,7 +428,7 @@ struct ModelFixture {
           return dc;
         }()),
         built(synth::BuildWorldAndDataset(data_config)) {
-    model = std::make_unique<M2g4Rtp>(mc);
+    model = std::make_unique<M2g4Rtp>(SmallConfig());
     extractor = std::make_unique<serve::FeatureExtractor>(&built.world);
     for (const synth::Sample& s : built.splits.test.samples) {
       if (sample == nullptr ||
@@ -499,21 +516,25 @@ TEST(PredictIncrementalTest, ArrivalStreamMatchesPredictBitwise) {
 }
 
 TEST(PredictIncrementalTest, RefreshPeriodForcesScheduledFullEncode) {
-  ModelConfig mc = ModelFixture::SmallConfig();
-  mc.incremental_refresh_period = 2;
-  ModelFixture f(mc);
+  ModelFixture f;
   NoGradGuard no_grad;
   IncrementalState state;
   synth::Sample s = f.extractor->BuildSample(f.RequestWithOrders(5));
   IncrementalResult res;
   f.model->PredictIncremental(s, &state, &res);
   EXPECT_EQ(res.fallback, IncrementalFallback::kCold);
-  f.model->PredictIncremental(s, &state, &res);
-  EXPECT_TRUE(res.delta);
-  // deltas_since_full + 1 reaches the period: scheduled refresh.
-  f.model->PredictIncremental(s, &state, &res);
+  // period - 1 consecutive deltas...
+  constexpr int kPeriod = ModelConfig::incremental_refresh_period;
+  for (int i = 1; i < kPeriod; ++i) {
+    f.model->PredictIncremental(s, &state, &res);
+    ASSERT_TRUE(res.delta) << "delta " << i;
+  }
+  EXPECT_EQ(state.deltas_since_full, static_cast<uint64_t>(kPeriod - 1));
+  // ...then deltas_since_full + 1 reaches the period: scheduled refresh.
+  RtpPrediction got = f.model->PredictIncremental(s, &state, &res);
   EXPECT_FALSE(res.delta);
   EXPECT_EQ(res.fallback, IncrementalFallback::kRefresh);
+  ExpectPredictionBitEqual(got, f.model->Predict(s));
   // And the cycle restarts.
   f.model->PredictIncremental(s, &state, &res);
   EXPECT_TRUE(res.delta);
@@ -610,9 +631,6 @@ TEST(PredictIncrementalTest, ConcurrentStatesAreIndependent) {
 }
 
 TEST(PredictIncrementalTest, DeltaStepsMoveTheCounters) {
-#ifdef M2G_OBS_DISABLED
-  GTEST_SKIP() << "metrics compiled out (M2G_OBS_DISABLED)";
-#else
   ModelFixture f;
   NoGradGuard no_grad;
   obs::SetEnabled(true);
@@ -625,7 +643,6 @@ TEST(PredictIncrementalTest, DeltaStepsMoveTheCounters) {
   f.model->PredictIncremental(s, &state, nullptr);
   obs::SetEnabled(false);
   EXPECT_GT(deltas.Value(), before);
-#endif
 }
 
 }  // namespace

@@ -28,19 +28,7 @@
 namespace m2g::obs {
 namespace {
 
-// Counter increments and trace spans compile to nothing under
-// -DM2G_OBS_DISABLED=ON; the tests that exercise those event paths
-// skip themselves in that configuration (histograms, gauges, registry
-// and exporters stay fully live and tested).
-#ifdef M2G_OBS_DISABLED
-#define M2G_SKIP_IF_OBS_DISABLED() \
-  GTEST_SKIP() << "event recording compiled out (M2G_OBS_DISABLED)"
-#else
-#define M2G_SKIP_IF_OBS_DISABLED() (void)0
-#endif
-
 TEST(CounterTest, IncrementAndValue) {
-  M2G_SKIP_IF_OBS_DISABLED();
   Counter c;
   EXPECT_EQ(c.Value(), 0u);
   c.Increment();
@@ -49,7 +37,6 @@ TEST(CounterTest, IncrementAndValue) {
 }
 
 TEST(CounterTest, ConcurrentIncrementsAreExact) {
-  M2G_SKIP_IF_OBS_DISABLED();
   Counter c;
   constexpr int kThreads = 8;
   constexpr int kPerThread = 10000;
@@ -236,10 +223,8 @@ TEST(RegistryTest, SnapshotIsSortedAndComplete) {
   ASSERT_EQ(snap.counters.size(), 2u);
   EXPECT_EQ(snap.counters[0].first, "a.count");
   EXPECT_EQ(snap.counters[1].first, "z.count");
-#ifndef M2G_OBS_DISABLED
   EXPECT_EQ(snap.counters[0].second, 1u);
   EXPECT_EQ(snap.counters[1].second, 2u);
-#endif
   ASSERT_EQ(snap.gauges.size(), 1u);
   EXPECT_EQ(snap.gauges[0].second, 7.0);
   ASSERT_EQ(snap.histograms.size(), 1u);
@@ -272,7 +257,6 @@ MetricsSnapshot GoldenSnapshot() {
 }
 
 TEST(ExportTest, PrometheusGoldenText) {
-  M2G_SKIP_IF_OBS_DISABLED();
   const std::string expected =
       "# TYPE m2g_requests_total counter\n"
       "m2g_requests_total 3\n"
@@ -288,7 +272,6 @@ TEST(ExportTest, PrometheusGoldenText) {
 }
 
 TEST(ExportTest, JsonGoldenText) {
-  M2G_SKIP_IF_OBS_DISABLED();
   const std::string json = ExportJson(GoldenSnapshot());
   EXPECT_NE(json.find("\"counters\": {\n    \"requests\": 3\n  }"),
             std::string::npos)
@@ -333,7 +316,6 @@ TEST(ExportTest, WriteMetricsFilePicksFormatBySuffix) {
 TEST(TraceTest, UntracedSpanFeedsItsStageHistogram) {
   // Outside a request trace (training, offline eval) a span still
   // records its duration into the stage histogram, and joins no tree.
-  M2G_SKIP_IF_OBS_DISABLED();
   SetEnabled(true);
   WideEventSink::Global().Clear();
   ASSERT_EQ(CurrentTraceId(), 0u);
@@ -348,7 +330,6 @@ TEST(TraceTest, UntracedSpanFeedsItsStageHistogram) {
 }
 
 TEST(TraceTest, ConcurrentSpansAreExactlyCounted) {
-  M2G_SKIP_IF_OBS_DISABLED();
   Histogram h(DefaultLatencyBucketsMs());
   constexpr int kThreads = 8;
   constexpr int kPerThread = 50;
@@ -366,7 +347,6 @@ TEST(TraceTest, ConcurrentSpansAreExactlyCounted) {
 }
 
 TEST(EnabledTest, DisabledCountersAndSpansAreNoOps) {
-  M2G_SKIP_IF_OBS_DISABLED();
   SetEnabled(false);
   Counter c;
   c.Increment();
@@ -394,7 +374,6 @@ TEST(TraceIdTest, ResetRewindsTheCounter) {
 }
 
 TEST(TraceIdTest, CurrentTraceIdBelongsToTheServingThread) {
-  M2G_SKIP_IF_OBS_DISABLED();
   SetEnabled(true);
   WideEventSink::Global().Configure(WideEventOptions{});
   ResetTraceIds(5);
@@ -412,7 +391,6 @@ TEST(TraceIdTest, CurrentTraceIdBelongsToTheServingThread) {
 }
 
 TEST(RequestTraceTest, BuildsTreeAccumulatesStagesAndEmitsWideEvent) {
-  M2G_SKIP_IF_OBS_DISABLED();
   SetEnabled(true);
   WideEventSink::Global().Configure(WideEventOptions{});
   ResetTraceIds(1);
@@ -461,7 +439,6 @@ TEST(RequestTraceTest, BuildsTreeAccumulatesStagesAndEmitsWideEvent) {
 }
 
 TEST(RequestTraceTest, NestedTraceIsInertAndSpansLandInOuter) {
-  M2G_SKIP_IF_OBS_DISABLED();
   SetEnabled(true);
   WideEventSink::Global().Configure(WideEventOptions{});
   ResetTraceIds(1);
@@ -484,7 +461,6 @@ TEST(RequestTraceTest, NestedTraceIsInertAndSpansLandInOuter) {
 }
 
 TEST(RequestTraceTest, DisabledTraceIsInert) {
-  M2G_SKIP_IF_OBS_DISABLED();
   SetEnabled(false);
   WideEventSink::Global().Clear();
   {
@@ -502,7 +478,6 @@ TEST(RequestTraceTest, ConcurrentRequestsKeepSpansInTheirOwnEvent) {
   // Each thread serves its own traced requests. Thread t opens t + 1
   // encode spans per request, so a span landing in another thread's
   // request would change that event's span count.
-  M2G_SKIP_IF_OBS_DISABLED();
   SetEnabled(true);
   WideEventSink::Global().Configure(WideEventOptions{});
   constexpr int kThreads = 8;
@@ -550,32 +525,34 @@ TEST(RequestTraceTest, ConcurrentRequestsKeepSpansInTheirOwnEvent) {
 }
 
 TEST(RequestTraceTest, HeadSampledOutRequestLeavesNoTree) {
-  M2G_SKIP_IF_OBS_DISABLED();
   SetEnabled(true);
   WideEventOptions options;
   options.head_sample_every = 2;
   options.tail_keep_over_ms = 1e9;
-  WideEventSink::Global().Configure(options);
-  // Head sampling keeps one of two consecutive events; which one
-  // depends on the sink's process-wide sequence number.
-  for (const char* tag : {"first", "second"}) {
-    RequestTrace trace(tag);
-    TraceSpan span("serve.request.ms");
+  // Configure rewinds the head-sampling sequence, so of two consecutive
+  // events the first is kept, whatever the process recorded before:
+  // after an even and after an odd number of earlier events alike.
+  for (int lead : {0, 1}) {
+    SCOPED_TRACE(lead);
+    WideEventSink::Global().Configure(options);
+    for (int i = 0; i < lead; ++i) RequestTrace trace("lead");
+    WideEventSink::Global().Configure(options);
+    for (const char* tag : {"first", "second"}) {
+      RequestTrace trace(tag);
+      TraceSpan span("serve.request.ms");
+    }
+    const std::vector<WideEvent> kept = WideEventSink::Global().Recent();
+    ASSERT_EQ(kept.size(), 1u);
+    EXPECT_EQ(kept[0].tag, "first");
+    const std::string json = ExportTracesJson();
+    EXPECT_NE(json.find("\"tag\": \"first\""), std::string::npos) << json;
+    EXPECT_EQ(json.find("\"tag\": \"second\""), std::string::npos)
+        << json;
   }
-  const std::vector<WideEvent> kept = WideEventSink::Global().Recent();
-  ASSERT_EQ(kept.size(), 1u);
-  const std::string dropped = kept[0].tag == "first" ? "second" : "first";
-  const std::string json = ExportTracesJson();
-  EXPECT_NE(json.find("\"tag\": \"" + kept[0].tag + "\""),
-            std::string::npos)
-      << json;
-  EXPECT_EQ(json.find("\"tag\": \"" + dropped + "\""), std::string::npos)
-      << json;
   WideEventSink::Global().Configure(WideEventOptions{});
 }
 
 TEST(WideEventTest, HeadSamplingKeepsEveryNthTailKeepsSlow) {
-  M2G_SKIP_IF_OBS_DISABLED();
   SetEnabled(true);
   WideEventSink sink;
   WideEventOptions options;
@@ -600,7 +577,6 @@ TEST(WideEventTest, HeadSamplingKeepsEveryNthTailKeepsSlow) {
 }
 
 TEST(WideEventTest, HeadZeroKeepsOnlyTail) {
-  M2G_SKIP_IF_OBS_DISABLED();
   SetEnabled(true);
   WideEventSink sink;
   WideEventOptions options;
@@ -619,7 +595,6 @@ TEST(WideEventTest, HeadZeroKeepsOnlyTail) {
 }
 
 TEST(WideEventTest, RingWrapsKeepingNewestOldestFirst) {
-  M2G_SKIP_IF_OBS_DISABLED();
   SetEnabled(true);
   WideEventSink sink;
   WideEventOptions options;
@@ -659,7 +634,6 @@ TEST(ExportTest, JsonEscapeCoversRfc8259) {
 }
 
 TEST(ExportTest, TracesJsonNestsChildrenUnderParents) {
-  M2G_SKIP_IF_OBS_DISABLED();
   SetEnabled(true);
   WideEventSink::Global().Configure(WideEventOptions{});
   ResetTraceIds(1);

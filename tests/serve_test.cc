@@ -301,11 +301,7 @@ TEST(RtpServiceTest, EmptyOrderListIsRejectedAndServingContinues) {
         << response.status.ToString();
     EXPECT_TRUE(response.prediction.location_route.empty());
     EXPECT_EQ(response.sample.num_locations(), 0);
-#ifndef M2G_OBS_DISABLED
     EXPECT_EQ(rejected.Value() - rejected_before, 1u);
-#else
-    (void)rejected_before;
-#endif
 
     // The services built on Handle surface the rejection as a status.
     OrderSortingService sorting(&service);
@@ -366,9 +362,7 @@ TEST(RtpServiceTest, UnknownAoiIdIsRejectedAndServingContinues) {
               StatusCode::kInvalidArgument);
     EXPECT_TRUE(replay.responses[i].prediction.location_route.empty());
   }
-#ifndef M2G_OBS_DISABLED
   EXPECT_EQ(rejected.Value() - rejected_before, 3u);
-#endif
   const RtpService::Response& ok = replay.responses[3];
   ASSERT_TRUE(ok.status.ok()) << ok.status.ToString();
   EXPECT_EQ(static_cast<int>(ok.prediction.location_route.size()),
@@ -581,10 +575,8 @@ TEST(TelemetryTest, ServingExportsCoverEveryStageAndCounter) {
   const obs::HistogramSnapshot* request_ms =
       snap.FindHistogram("serve.request.ms");
   ASSERT_NE(request_ms, nullptr);
-#ifndef M2G_OBS_DISABLED
   // The registry is process-wide, so earlier tests may have served too.
   EXPECT_GE(request_ms->count, requests.size());
-#endif
   EXPECT_LE(request_ms->Quantile(0.50), request_ms->Quantile(0.95));
   EXPECT_LE(request_ms->Quantile(0.95), request_ms->Quantile(0.99));
 }
